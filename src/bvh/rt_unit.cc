@@ -2,24 +2,38 @@
  * @file
  * Cycle-level RT-unit implementation.
  *
- * Per cycle the unit (a) drives up to issue_width beats into the
- * datapath lanes from ready rays, (b) drains one datapath result per
- * lane, (c) retires memory responses and issues new node fetches
- * through the shared L1 (optionally via the bounded MSHR file), and
- * (d) refills free ray-buffer slots from the submission queue. All
- * interactions with the datapath go through the ordinary valid-ready
- * handshake — one handshake per lane — so the unit observes real
- * pipeline back-pressure.
+ * One cycle skeleton drives all three schedulers. Per cycle, publish()
+ * offers up to issue_width beats, one per datapath lane, from a
+ * first-ready cursor over the slots' offerable beats; advance() then
+ * (a) samples each lane's input handshake, counting the accepted beats
+ * and classifying the idle slots (lazily, once per cycle), and takes
+ * the accepted beats in descending lane order; (b) drains one datapath
+ * result per lane; (c) retires MSHR entries and completed fetches, then
+ * issues new fetches through the shared L1 (optionally via the bounded
+ * MSHR file); and (d) refills free slots from the submission queue.
+ * All interactions with the datapath go through the ordinary
+ * valid-ready handshake — one handshake per lane — so the unit
+ * observes real pipeline back-pressure.
  *
- * The same four-step loop drives both schedulers: the scalar mode
- * iterates per-ray Entry slots, the packet mode (packet.width > 1,
- * bvh/packet.hh) iterates PacketTraversal slots — a packet in NeedFetch
- * issues ONE fetch for its whole active mask, and a packet with fetched
- * data issues one beat per active lane, up to issue_width of them in
- * the same cycle. With packet.compact_below > 0 a step between (b) and
- * (c) repacks divergence-thinned packets at their fetch boundaries.
- * The scalar path at issue_width == 1 is bit-for-bit the pre-packet
- * unit; no packet code runs at width 1.
+ * The skeleton knows slots, beats and fetches; what a slot IS comes
+ * from a handful of per-mode hooks (offerableBeats, offerInput,
+ * acceptBeat, slotOccupancy, pendingFetch, holdFetch, fetchIssued,
+ * fillArrived, laneResult, admitWork):
+ *
+ *   - scalar (packet.width == 1): a slot is one ray's Entry, which
+ *     offers at most one beat (a wide-node box test or its leaf's next
+ *     triangle) and has at most one beat in flight;
+ *   - packet (packet.width > 1, bvh/packet.hh): a slot is a
+ *     PacketTraversal, which issues ONE fetch for its whole active
+ *     mask and offers one beat per active lane, so one packet can fill
+ *     several lanes in a cycle. With packet.compact_below > 0 a step
+ *     between (b) and (c) repacks divergence-thinned packets at their
+ *     fetch boundaries, and holdFetch() defers a thinned packet's
+ *     fetch while it waits for a partner;
+ *   - k-NN (constructed over a KnnIndex): a slot is one query's
+ *     KnnEntry, which offers one candidate per lane from its fetched
+ *     leaf; a lane stays locked to a candidate until the candidate's
+ *     last distance beat is accepted.
  *
  * Fetch latency comes from the configured MemoryModel — the unit's
  * shared L1: one instance serves every slot. The address map is
@@ -44,6 +58,20 @@ namespace rayflex::bvh
 
 using namespace rayflex::core;
 using fp::fromBits;
+
+namespace
+{
+
+/** k-NN mode ignores PacketConfig (a query is its own traversal), so
+ *  the delegated ray constructor builds the scalar slot layout. */
+RtUnitConfig
+withoutPackets(RtUnitConfig cfg)
+{
+    cfg.packet = PacketConfig{};
+    return cfg;
+}
+
+} // namespace
 
 RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
                const RtUnitConfig &cfg, MemoryModel *shared_mem)
@@ -95,39 +123,39 @@ RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
 
 RtUnit::RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
                const RtUnitConfig &cfg, MemoryModel *shared_mem)
-    : RtUnit(index.bvh, dp, cfg, shared_mem)
+    : RtUnit(index.bvh, dp, withoutPackets(cfg), shared_mem)
 {
     if (!dp.config().extended)
         throw std::invalid_argument(
             "RtUnit k-NN mode: datapath lacks the extended distance "
             "opcodes (build it with an extended DatapathConfig)");
     knn_index_ = &index;
+    entries_.clear(); // k-NN slots are knn_entries_ (see slotOccupancy)
     knn_entries_.resize(cfg_.ray_buffer_entries);
     knn_lane_.resize(lanes_.size());
 }
 
-/** Synthetic address map shared by both schedulers (so scalar and
- *  packet mode can never diverge on addresses): the whole leaf for
- *  leaf work, one wide node otherwise. The address doubles as the
- *  MSHR merge key — each node and leaf has a unique base address. */
+/** Synthetic address map shared by every scheduler (so the modes can
+ *  never diverge on addresses): the whole leaf for leaf work, one wide
+ *  node otherwise. The address doubles as the MSHR merge key — each
+ *  node and leaf has a unique base address. */
 void
-RtUnit::fetchTarget(bool is_leaf, uint32_t index, uint32_t count,
-                    uint64_t *addr, uint32_t *bytes) const
+RtUnit::fetchTarget(const FetchItem &f, uint64_t *addr,
+                    uint32_t *bytes) const
 {
-    if (is_leaf) {
-        *addr = tri_base_ + uint64_t(index) * kTriStrideBytes;
-        *bytes = count * kTriStrideBytes;
+    if (f.is_leaf) {
+        *addr = tri_base_ + uint64_t(f.index) * kTriStrideBytes;
+        *bytes = f.count * kTriStrideBytes;
     } else {
-        *addr = uint64_t(index) * kNodeStrideBytes;
+        *addr = uint64_t(f.index) * kNodeStrideBytes;
         *bytes = kNodeStrideBytes;
     }
 }
 
-/** Step-(c) preamble shared by all three schedulers: release
- *  completed MSHR entries (sampling the residency counter when it
- *  changed and tracing is on) and re-arm the MSHR-refusal flag for
- *  this cycle's issue loop (classifyIdle reads last cycle's value in
- *  step (a), which runs before this). */
+/** Step-(c) preamble: release completed MSHR entries (sampling the
+ *  residency counter when it changed and tracing is on) and re-arm the
+ *  MSHR-refusal flag for this cycle's issue loop (classifyIdle reads
+ *  last cycle's value in step (a), which runs before this). */
 void
 RtUnit::retireMshrs()
 {
@@ -145,18 +173,14 @@ RtUnit::retireMshrs()
 }
 
 /** Exclusive cause of this cycle's idle issue slots. The priority and
- *  the phase-boundary walk are documented in obs/slot_accounting.hh;
- *  the scheduler-specific inputs (`have_work`: any work submitted and
- *  not yet retired; `need_fetch`: a slot sits in NeedFetch;
- *  `in_datapath`: work is ready for or riding the lanes) are computed
- *  by the caller from state that is constant across step (a), so the
- *  answer is the same whichever lane triggers the lazy evaluation. */
+ *  the phase-boundary walk are documented in obs/slot_accounting.hh.
+ *  advance() only runs while work is outstanding, so "no work at all"
+ *  and "nothing fetching or in the datapath" both land in IdleNoWork.
+ *  Every input is constant across step (a), so the answer is the same
+ *  whichever lane triggers the lazy evaluation. */
 obs::Slot
-RtUnit::classifyIdle(bool have_work, bool need_fetch,
-                     bool in_datapath) const
+RtUnit::classifyIdle() const
 {
-    if (!have_work)
-        return obs::Slot::IdleNoWork;
     if (mshr_refused_)
         return obs::Slot::StallMshrFull;
     if (!mem_queue_.empty()) {
@@ -181,6 +205,8 @@ RtUnit::classifyIdle(bool have_work, bool need_fetch,
             return obs::Slot::StallL2BankQueue;
         return obs::Slot::StallL2Fill;
     }
+    bool need_fetch = false, in_datapath = false;
+    slotOccupancy(&need_fetch, &in_datapath);
     if (need_fetch)
         return obs::Slot::StallL1Miss; // waiting on issue bandwidth
     if (in_datapath)
@@ -199,70 +225,57 @@ RtUnit::classifyIdle(bool have_work, bool need_fetch,
  *  becomes absolute boundaries on the queued request — what
  *  classifyIdle() attributes stalled slots against. */
 bool
-RtUnit::issueFetch(size_t slot, bool is_leaf, uint32_t index,
-                   uint32_t count, unsigned &issued)
+RtUnit::issueFetch(size_t slot, const FetchItem &f, unsigned &issued)
 {
     uint64_t addr;
     uint32_t bytes;
-    fetchTarget(is_leaf, index, count, &addr, &bytes);
-    if (!mshrs_.enabled()) {
-        AccessBreakdown bd;
-        const unsigned lat = mem_->access(addr, bytes, now_, &bd);
-        MemRequest req{slot, now_ + lat, addr};
-        req.l1_until = now_ + bd.l1;
-        req.ring_until = req.l1_until + bd.ring;
-        req.queue_until = req.ring_until + bd.queue;
-        mem_queue_.push_back(req);
-        ++stats_.mem_requests;
-        ++issued;
-        if (trace_)
-            trace_->record({now_, trace_unit_,
-                            obs::TraceEvent::FetchIssue, addr,
-                            uint64_t(slot)});
-        return true;
+    fetchTarget(f, &addr, &bytes);
+    if (mshrs_.enabled()) {
+        if (const MshrFile::Entry *inflight = mshrs_.lookup(addr)) {
+            // Duplicate of an in-flight fill: complete when it does,
+            // and wait through the same phases it does.
+            MemRequest req{slot, inflight->done_cycle, addr};
+            req.l1_until = inflight->l1_until;
+            req.ring_until = inflight->ring_until;
+            req.queue_until = inflight->queue_until;
+            mem_queue_.push_back(req);
+            ++stats_.mshr.merges;
+            if (trace_)
+                trace_->record({now_, trace_unit_,
+                                obs::TraceEvent::MshrMerge, addr,
+                                uint64_t(slot)});
+            return true;
+        }
+        if (mshrs_.full()) {
+            ++stats_.mshr.stalls_full;
+            mshr_refused_ = true;
+            if (trace_)
+                trace_->record({now_, trace_unit_,
+                                obs::TraceEvent::MshrStallFull, addr,
+                                uint64_t(slot)});
+            return false; // back-pressure: slot retries next cycle
+        }
+        if (issued >= cfg_.mem_requests_per_cycle)
+            return false;
     }
-    if (const MshrFile::Entry *inflight = mshrs_.lookup(addr)) {
-        // Duplicate of an in-flight fill: complete when it does, and
-        // wait through the same phases it does.
-        MemRequest req{slot, inflight->done_cycle, addr};
-        req.l1_until = inflight->l1_until;
-        req.ring_until = inflight->ring_until;
-        req.queue_until = inflight->queue_until;
-        mem_queue_.push_back(req);
-        ++stats_.mshr.merges;
-        if (trace_)
-            trace_->record({now_, trace_unit_,
-                            obs::TraceEvent::MshrMerge, addr,
-                            uint64_t(slot)});
-        return true;
-    }
-    if (mshrs_.full()) {
-        ++stats_.mshr.stalls_full;
-        mshr_refused_ = true;
-        if (trace_)
-            trace_->record({now_, trace_unit_,
-                            obs::TraceEvent::MshrStallFull, addr,
-                            uint64_t(slot)});
-        return false; // back-pressure: slot retries next cycle
-    }
-    if (issued >= cfg_.mem_requests_per_cycle)
-        return false;
     AccessBreakdown bd;
     const unsigned lat = mem_->access(addr, bytes, now_, &bd);
-    const uint64_t done = now_ + lat;
-    MemRequest req{slot, done, addr};
+    MemRequest req{slot, now_ + lat, addr};
     req.l1_until = now_ + bd.l1;
     req.ring_until = req.l1_until + bd.ring;
     req.queue_until = req.ring_until + bd.queue;
-    mshrs_.allocate(addr, done, req.l1_until, req.ring_until,
-                    req.queue_until);
     mem_queue_.push_back(req);
-    ++stats_.mshr.allocations;
     ++stats_.mem_requests;
     ++issued;
-    if (trace_) {
+    if (trace_)
         trace_->record({now_, trace_unit_, obs::TraceEvent::FetchIssue,
                         addr, uint64_t(slot)});
+    if (!mshrs_.enabled())
+        return true;
+    mshrs_.allocate(addr, req.done_cycle, req.l1_until, req.ring_until,
+                    req.queue_until);
+    ++stats_.mshr.allocations;
+    if (trace_) {
         trace_->record({now_, trace_unit_, obs::TraceEvent::MshrAlloc,
                         addr, mshrs_.inflightCount()});
         trace_->record({now_, trace_unit_,
@@ -297,6 +310,601 @@ RtUnit::submitKnn(const KnnQuery &query, uint32_t query_id)
     ++outstanding_;
 }
 
+// ---------------------------------------------------------------------
+// The cycle skeleton
+// ---------------------------------------------------------------------
+
+void
+RtUnit::publish(uint64_t)
+{
+    // Offer one beat per lane from the first ready slots (round-robin
+    // would be fairer; first-ready is sufficient for utilization
+    // studies). (slot, beat) is a cursor over the slots' offerable
+    // beats, so lanes get distinct beats in slot order and a slot with
+    // several beats may fill several lanes in one cycle.
+    const size_t slots = slotCount();
+    size_t slot = 0, beat = 0, avail = 0;
+    for (size_t l = 0; l < lanes_.size(); ++l) {
+        lanes_[l]->out().ready = true; // always willing to drain
+        auto &in = lanes_[l]->in();
+        offers_[l] = LaneOffer{};
+        in.valid = false;
+        if (knnMode() && knn_lane_[l].active) {
+            // The lane finishes the candidate it is streaming: all of
+            // a job's beats stay on one lane, in order, so the lane's
+            // accumulator only ever holds that job's partial sums.
+            const KnnLaneJob &job = knn_lane_[l];
+            in.valid = true;
+            in.bits = job.beats[job.next_beat];
+            offers_[l].entry = size_t(in.bits.tag >> 32);
+            continue;
+        }
+        for (; slot < slots; ++slot, beat = 0) {
+            if (beat == 0)
+                avail = offerableBeats(slot);
+            if (beat < avail) {
+                in.valid = true;
+                in.bits = offerInput(slot, beat);
+                offers_[l] = {slot, beat++};
+                break;
+            }
+        }
+    }
+}
+
+void
+RtUnit::advance(uint64_t cycle)
+{
+    // A finished unit idles: in chip mode the shared simulator keeps
+    // ticking until the slowest unit drains, and a done unit must stop
+    // accumulating cycles/idle-slot counters (its per-unit `cycles` is
+    // the cycle its own work completed). Unreachable under run(),
+    // whose loop stops at outstanding_ == 0.
+    if (done())
+        return;
+    now_ = cycle;
+    ++stats_.cycles;
+
+    // (a) Input handshake outcome, per lane. Idle slots share one cause
+    // per cycle, classified lazily on the first idle lane (no slot
+    // changes state before the accept pass). Accepted beats are then
+    // taken in descending lane order, so a slot's remaining beat
+    // indices (offered ascending in publish) stay valid.
+    obs::Slot idle_cause = obs::Slot::kCount;
+    std::array<bool, kMaxIssueWidth> fired{};
+    for (size_t l = 0; l < lanes_.size(); ++l) {
+        const auto &in = lanes_[l]->in();
+        if (offers_[l].entry != kNoOffer && in.valid && in.ready) {
+            fired[l] = true;
+            ++stats_.datapath_beats;
+            ++stats_.beats_by_op[size_t(in.bits.op)];
+            ++stats_.slots[obs::Slot::Issued];
+        } else {
+            if (idle_cause == obs::Slot::kCount)
+                idle_cause = classifyIdle();
+            ++stats_.slots[idle_cause];
+        }
+    }
+    for (size_t l = lanes_.size(); l-- > 0;)
+        if (fired[l])
+            acceptBeat(l);
+
+    // (b) Output handshake outcome, per lane.
+    for (size_t l = 0; l < lanes_.size(); ++l) {
+        const auto &out = lanes_[l]->out();
+        if (out.valid && out.ready)
+            laneResult(l, out.bits);
+    }
+
+    // Occupancy-driven repacking at fetch boundaries (packet mode),
+    // before new fetches are issued for the packets involved.
+    compactPackets();
+
+    // (c) Memory: retire due responses, issue new fetches. Retirement
+    // is completion-ordered, not FIFO: with the cache backend a cheap
+    // hit issued behind an expensive miss completes first and must not
+    // be held at the queue head, or the hit latency the cache model
+    // exists to expose would be masked. (Under a uniform-latency
+    // backend completion order equals issue order.)
+    retireMshrs();
+    for (auto it = mem_queue_.begin(); it != mem_queue_.end();) {
+        if (it->done_cycle > now_) {
+            ++it;
+            continue;
+        }
+        if (trace_)
+            trace_->record({now_, trace_unit_,
+                            obs::TraceEvent::FetchFill, it->addr,
+                            uint64_t(it->entry)});
+        fillArrived(it->entry);
+        it = mem_queue_.erase(it);
+    }
+    const size_t slots = slotCount();
+    unsigned issued = 0;
+    for (size_t i = 0; i < slots; ++i) {
+        FetchItem f;
+        if (!pendingFetch(i, &f))
+            continue;
+        if (!mshrs_.enabled() &&
+            issued >= cfg_.mem_requests_per_cycle)
+            break;
+        if (holdFetch(i))
+            continue;
+        if (issueFetch(i, f, issued))
+            fetchIssued(i);
+    }
+
+    // (d) Refill free slots with queued work.
+    for (size_t i = 0; i < slots && workPending(); ++i)
+        admitWork(i);
+
+    // Occupancy counter sample (packet mode): live lanes across all
+    // packet slots, emitted on change only.
+    if (trace_ && packetized()) {
+        uint64_t occ = 0;
+        for (const PacketTraversal &p : packets_)
+            occ += p.liveLanes();
+        if (occ != trace_occupancy_last_) {
+            trace_occupancy_last_ = occ;
+            trace_->record({now_, trace_unit_,
+                            obs::TraceEvent::PacketOccupancy, occ, 0});
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Per-mode hooks of the skeleton
+// ---------------------------------------------------------------------
+
+size_t
+RtUnit::slotCount() const
+{
+    if (knnMode())
+        return knn_entries_.size();
+    return packetized() ? packets_.size() : entries_.size();
+}
+
+bool
+RtUnit::workPending() const
+{
+    return knnMode() ? !pending_knn_.empty() : !pending_rays_.empty();
+}
+
+size_t
+RtUnit::offerableBeats(size_t i)
+{
+    if (knnMode()) {
+        const KnnEntry &e = knn_entries_[i];
+        return e.state == EntryState::ReadyTri ? e.pending_cands.size()
+                                               : 0;
+    }
+    if (packetized()) {
+        PacketTraversal &p = packets_[i];
+        if (!p.issueReady())
+            return 0;
+        p.pruneDeadBeats();
+        return p.pendingCount();
+    }
+    const EntryState s = entries_[i].state;
+    return s == EntryState::ReadyBox || s == EntryState::ReadyTri;
+}
+
+core::DatapathInput
+RtUnit::offerInput(size_t i, size_t j) const
+{
+    if (knnMode())
+        return knnCandidateBeats(i, knn_entries_[i].pending_cands[j])
+            .front();
+    if (packetized())
+        return packets_[i].makeBeatAt(j, i);
+    const Entry &e = entries_[i];
+    DatapathInput in;
+    in.ray = e.ray;
+    in.tag = i;
+    if (e.state == EntryState::ReadyTri) {
+        in.op = Opcode::RayTriangle;
+        in.tri = bvh_.tris[e.leaf_next].toIoTriangle();
+        return in;
+    }
+    in.op = Opcode::RayBox;
+    const WideNode &node = bvh_.nodes[e.item.index];
+    for (int c = 0; c < 4; ++c) {
+        in.boxes[c] = node.child[c].kind == WideNode::Kind::Empty
+                          ? emptySlotBox()
+                          : node.child[c].bounds.toIoBox();
+    }
+    return in;
+}
+
+void
+RtUnit::acceptBeat(size_t l)
+{
+    const LaneOffer o = offers_[l];
+    if (packetized()) {
+        lane_inflight_[l].push_back(
+            {o.entry, packets_[o.entry].takeBeatAt(o.beat)});
+        return;
+    }
+    if (!knnMode()) {
+        Entry &e = entries_[o.entry];
+        if (e.state == EntryState::ReadyTri)
+            e.inflight_tri = e.leaf_next++;
+        e.state = EntryState::InFlight;
+        return;
+    }
+    ++stats_.knn.distance_beats;
+    KnnLaneJob &job = knn_lane_[l];
+    if (job.active) {
+        if (++job.next_beat == job.beats.size())
+            job = KnnLaneJob{}; // last beat accepted: lane free
+        return;
+    }
+    // First beat of a new candidate: take it off the entry and lock the
+    // lane until the job's last beat is accepted.
+    KnnEntry &e = knn_entries_[o.entry];
+    const uint32_t tri = e.pending_cands[o.beat];
+    e.pending_cands.erase(e.pending_cands.begin() + ptrdiff_t(o.beat));
+    ++e.inflight_cands;
+    ++stats_.knn.candidates;
+    std::vector<DatapathInput> beats = knnCandidateBeats(o.entry, tri);
+    if (beats.size() > 1)
+        job = {true, std::move(beats), 1};
+    // Leaf work fully issued: move on to the next frontier item (the
+    // next fetch overlaps the in-flight scores). Descending-lane order
+    // makes this the entry's last accept of the cycle.
+    if (e.pending_cands.empty())
+        popKnnFrontier(e);
+}
+
+/** `need_fetch`: a slot sits in NeedFetch; `in_datapath`: work is
+ *  ready for or riding the issue lanes. Ready entries count as
+ *  in-datapath work (accepted offers move Ready -> InFlight), so the
+ *  answer holds across step (a). */
+void
+RtUnit::slotOccupancy(bool *need_fetch, bool *in_datapath) const
+{
+    const auto entry = [&](EntryState s) {
+        if (s == EntryState::NeedFetch)
+            *need_fetch = true;
+        else if (s == EntryState::ReadyBox ||
+                 s == EntryState::ReadyTri ||
+                 s == EntryState::InFlight)
+            *in_datapath = true;
+    };
+    for (const Entry &e : entries_)
+        entry(e.state);
+    for (const KnnEntry &e : knn_entries_)
+        entry(e.state);
+    for (const PacketTraversal &p : packets_) {
+        if (p.needsFetch())
+            *need_fetch = true;
+        else if (p.issueReady())
+            *in_datapath = true;
+    }
+    for (const KnnLaneJob &j : knn_lane_)
+        *in_datapath = *in_datapath || j.active;
+    for (const auto &q : lane_inflight_)
+        *in_datapath = *in_datapath || !q.empty();
+}
+
+bool
+RtUnit::pendingFetch(size_t i, FetchItem *f) const
+{
+    if (knnMode()) {
+        *f = knn_entries_[i].fetch;
+        return knn_entries_[i].state == EntryState::NeedFetch;
+    }
+    if (packetized()) {
+        const PacketTraversal &p = packets_[i];
+        *f = {p.fetchIsLeaf(), p.fetchIndex(), p.fetchCount()};
+        return p.needsFetch();
+    }
+    *f = entries_[i].item;
+    return entries_[i].state == EntryState::NeedFetch;
+}
+
+/** A below-threshold packet defers its fetch inside the repacking
+ *  window, waiting for a partner to reach a fetch boundary
+ *  (compactPackets pairs them). The window is bounded, so an unlucky
+ *  packet resumes alone after it expires. */
+bool
+RtUnit::holdFetch(size_t i)
+{
+    if (!packetized() || cfg_.packet.compact_below == 0 ||
+        compact_hold_[i] >= kCompactWaitCycles)
+        return false;
+    const unsigned live = packets_[i].liveLanes();
+    if (live == 0 || live >= cfg_.packet.compact_below)
+        return false;
+    ++compact_hold_[i];
+    return true;
+}
+
+void
+RtUnit::fetchIssued(size_t i)
+{
+    if (knnMode()) {
+        knn_entries_[i].state = EntryState::Fetching;
+    } else if (packetized()) {
+        packets_[i].fetchIssued();
+        compact_hold_[i] = 0;
+    } else {
+        entries_[i].state = EntryState::Fetching;
+    }
+}
+
+void
+RtUnit::fillArrived(size_t i)
+{
+    if (packetized()) {
+        packets_[i].fetchArrived();
+        return;
+    }
+    if (!knnMode()) {
+        Entry &e = entries_[i];
+        e.state = e.item.is_leaf ? EntryState::ReadyTri
+                                 : EntryState::ReadyBox;
+        return;
+    }
+    // Node expansion (the double-precision box lower bound) happens
+    // host-side at fetch arrival; only candidate distances consume
+    // datapath beats.
+    KnnEntry &e = knn_entries_[i];
+    if (!e.fetch.is_leaf) {
+        expandKnnNode(e);
+        popKnnFrontier(e);
+        return;
+    }
+    ++stats_.knn.leaves_visited;
+    for (uint32_t t = 0; t < e.fetch.count; ++t)
+        e.pending_cands.push_back(e.fetch.index + t);
+    e.state = EntryState::ReadyTri;
+}
+
+void
+RtUnit::laneResult(size_t l, const core::DatapathOutput &out)
+{
+    if (knnMode()) {
+        handleKnnResult(out);
+        return;
+    }
+    if (!packetized()) {
+        handleResult(out);
+        return;
+    }
+    // Each lane is in order, so its front in-flight beat identifies the
+    // result's packet, member lane and triangle. A result can complete
+    // the packet's current item, push children and retire lanes whose
+    // work ran out.
+    const InflightBeat ib = lane_inflight_[l].front();
+    lane_inflight_[l].pop_front();
+    PacketTraversal &p = packets_[ib.slot];
+    p.handleResult(out, ib.beat);
+    drainCompleted(p);
+}
+
+void
+RtUnit::admitWork(size_t i)
+{
+    if (knnMode()) {
+        KnnEntry &e = knn_entries_[i];
+        if (e.state != EntryState::Idle)
+            return;
+        PendingKnn pk = std::move(pending_knn_.front());
+        pending_knn_.pop_front();
+        e = KnnEntry{};
+        e.query_id = pk.query_id;
+        e.k = pk.query.k;
+        e.metric = pk.query.metric;
+        e.point = std::move(pk.query.point);
+        e.topk.reset(e.k);
+        if (knn_index_->points.empty() || e.k == 0) {
+            finishKnnQuery(e); // degenerate queries finish at admission
+            return;
+        }
+        e.frontier.push_back({0.0, false, 0, 0, e.seq++});
+        if (e.frontier.size() > stats_.knn.frontier_peak)
+            stats_.knn.frontier_peak = e.frontier.size();
+        popKnnFrontier(e);
+        return;
+    }
+    if (packetized()) {
+        // Consecutive rays form one packet, so coherent submissions
+        // (camera batches) become coherent packets.
+        PacketTraversal &p = packets_[i];
+        if (!p.idle())
+            return;
+        p.admit(pending_rays_);
+        if (trace_)
+            trace_->record({now_, trace_unit_,
+                            obs::TraceEvent::PacketForm, uint64_t(i),
+                            p.liveLanes()});
+        drainCompleted(p); // empty-scene rays complete at admission
+        return;
+    }
+    Entry &e = entries_[i];
+    if (e.state != EntryState::Idle)
+        return;
+    const PendingRay pr = pending_rays_.front();
+    pending_rays_.pop_front();
+    e = Entry{};
+    e.ray = pr.ray;
+    e.ray_id = pr.ray_id;
+    e.t_beg = fromBits(pr.ray.t_beg);
+    e.t_max = fromBits(pr.ray.t_end);
+    if (bvh_.tris.empty()) {
+        finishRay(e, HitRecord{});
+        return;
+    }
+    e.stack.push_back({false, 0, 0, 0.0f});
+    popWork(e);
+}
+
+// ---------------------------------------------------------------------
+// Scalar scheduler
+// ---------------------------------------------------------------------
+
+void
+RtUnit::popWork(Entry &e)
+{
+    // Pop past work items pruned by the current best hit.
+    while (!e.stack.empty()) {
+        WorkItem w = e.stack.back();
+        e.stack.pop_back();
+        if (e.best.hit && w.entry_t > e.best.t)
+            continue;
+        // Both node and leaf data come from memory.
+        e.item = {w.is_leaf, w.index, w.is_leaf ? w.count : 0};
+        e.leaf_next = w.index;
+        e.state = EntryState::NeedFetch;
+        return;
+    }
+    // Traversal complete.
+    finishRay(e, e.best);
+}
+
+void
+RtUnit::finishRay(Entry &e, const HitRecord &rec)
+{
+    results_[e.ray_id] = rec;
+    e.state = EntryState::Idle;
+    e.stack.clear();
+    --outstanding_;
+    ++stats_.rays_completed;
+}
+
+void
+RtUnit::handleResult(const core::DatapathOutput &out)
+{
+    Entry &e = entries_[out.tag];
+    if (out.op == Opcode::RayBox) {
+        const WideNode &node = bvh_.nodes[e.item.index];
+        // Push hit children farthest-first so the nearest pops first.
+        for (int i = 3; i >= 0; --i) {
+            uint8_t slot = out.box.order[i];
+            if (!out.box.hit[slot])
+                continue;
+            const auto &c = node.child[slot];
+            WorkItem w;
+            w.entry_t = fromBits(out.box.sorted_dist[i]);
+            w.is_leaf = c.kind != WideNode::Kind::Internal;
+            w.index = c.index;
+            if (w.is_leaf)
+                w.count = c.count;
+            e.stack.push_back(w);
+        }
+        popWork(e);
+    } else {
+        // e.inflight_tri was latched at issue time (when leaf_next
+        // advanced past it), so it names exactly the triangle this
+        // result tested.
+        const SceneTriangle &tri = bvh_.tris[e.inflight_tri];
+        if (out.tri.hit) {
+            float den = fromBits(out.tri.t_den);
+            if (den != 0.0f) {
+                float t = fromBits(out.tri.t_num) / den;
+                if (t >= e.t_beg && t <= e.t_max &&
+                    (!e.best.hit || t < e.best.t)) {
+                    if (cfg_.mode == TraversalMode::Any) {
+                        // First in-extent hit retires the ray; the
+                        // record carries only the flag (see
+                        // TraversalMode::Any).
+                        HitRecord occluded;
+                        occluded.hit = true;
+                        finishRay(e, occluded);
+                        return;
+                    }
+                    e.best.hit = true;
+                    e.best.t = t;
+                    e.best.triangle_id = tri.id;
+                    float u = fromBits(out.tri.uvw[0]);
+                    float v = fromBits(out.tri.uvw[1]);
+                    float w = fromBits(out.tri.uvw[2]);
+                    e.best.u = u / den;
+                    e.best.v = v / den;
+                    e.best.w = w / den;
+                }
+            }
+        }
+        if (e.leaf_next < e.item.index + e.item.count) {
+            e.state = EntryState::ReadyTri; // more triangles in leaf
+        } else {
+            popWork(e);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Packet scheduler
+// ---------------------------------------------------------------------
+
+/** Move a packet's retired rays into the unit's results. */
+void
+RtUnit::drainCompleted(PacketTraversal &p)
+{
+    if (p.completed().empty())
+        return;
+    if (trace_)
+        trace_->record({now_, trace_unit_,
+                        obs::TraceEvent::PacketRetire,
+                        uint64_t(&p - packets_.data()),
+                        p.completed().size()});
+    for (const auto &[id, rec] : p.completed()) {
+        results_[id] = rec;
+        --outstanding_;
+        ++stats_.rays_completed;
+    }
+    p.completed().clear();
+}
+
+/** Occupancy-driven compaction (packet.compact_below > 0): pair
+ *  packets sitting at a fetch boundary whose live occupancy fell
+ *  below the threshold and repack the donor's surviving lanes into
+ *  the recipient, freeing the donor slot for fresh rays. Greedy in
+ *  slot order, so the pairing is a pure function of packet state and
+ *  the engine's determinism contract holds. Two thinned packets
+ *  rarely reach a fetch boundary on the same cycle, so a
+ *  below-threshold packet DEFERS its next fetch for up to
+ *  kCompactWaitCycles (holdFetch) — the repacking window in which a
+ *  partner can appear. */
+void
+RtUnit::compactPackets()
+{
+    const unsigned threshold = cfg_.packet.compact_below;
+    if (threshold == 0)
+        return;
+    for (size_t i = 0; i < packets_.size(); ++i) {
+        PacketTraversal &p = packets_[i];
+        if (!p.compactable())
+            continue;
+        unsigned live = p.liveLanes();
+        if (live == 0 || live >= threshold)
+            continue;
+        for (size_t j = i + 1;
+             j < packets_.size() && live < threshold; ++j) {
+            PacketTraversal &q = packets_[j];
+            if (!q.compactable())
+                continue;
+            const unsigned ql = q.liveLanes();
+            if (ql == 0 || ql >= threshold ||
+                live + ql > cfg_.packet.width)
+                continue;
+            p.absorb(q);
+            if (trace_)
+                trace_->record({now_, trace_unit_,
+                                obs::TraceEvent::PacketCompact,
+                                uint64_t(j), uint64_t(i)});
+            compact_hold_[i] = 0;
+            compact_hold_[j] = 0;
+            live += ql;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// k-NN scheduler
+// ---------------------------------------------------------------------
+
 std::vector<core::DatapathInput>
 RtUnit::knnCandidateBeats(size_t slot, uint32_t tri) const
 {
@@ -308,43 +916,6 @@ RtUnit::knnCandidateBeats(size_t slot, uint32_t tri) const
     return knnJobBeats(e.point.data(), p.coords.data(),
                        knn_index_->dims, e.metric,
                        (uint64_t(slot) << 32) | tri);
-}
-
-/** k-NN publish: each lane first finishes the candidate it is
- *  streaming (all beats of one job stay on one lane, in order, so the
- *  lane's accumulator only ever holds that job's partial sums); free
- *  lanes claim the first pending candidates in entry order, distinct
- *  candidates per lane. */
-void
-RtUnit::publishKnn()
-{
-    std::vector<uint32_t> claimed(knn_entries_.size(), 0);
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        KnnLaneJob &job = knn_lane_[l];
-        if (job.active) {
-            lanes_[l]->in().valid = true;
-            lanes_[l]->in().bits = job.beats[job.next_beat];
-            offers_[l].entry =
-                size_t(job.beats[job.next_beat].tag >> 32);
-            continue;
-        }
-        bool found = false;
-        for (size_t i = 0; i < knn_entries_.size(); ++i) {
-            const KnnEntry &e = knn_entries_[i];
-            if (e.state != EntryState::ReadyTri ||
-                claimed[i] >= e.pending_cands.size())
-                continue;
-            const uint32_t tri = e.pending_cands[claimed[i]];
-            lanes_[l]->in().valid = true;
-            lanes_[l]->in().bits = knnCandidateBeats(i, tri).front();
-            offers_[l] = {i, claimed[i]};
-            ++claimed[i];
-            found = true;
-            break;
-        }
-        if (!found)
-            lanes_[l]->in().valid = false;
-    }
 }
 
 void
@@ -374,9 +945,7 @@ RtUnit::popKnnFrontier(KnnEntry &e)
             e.frontier.clear();
             break;
         }
-        e.fetch_is_leaf = item.is_leaf;
-        e.fetch_index = item.index;
-        e.fetch_count = item.count;
+        e.fetch = {item.is_leaf, item.index, item.count};
         e.state = EntryState::NeedFetch;
         return;
     }
@@ -392,7 +961,7 @@ RtUnit::expandKnnNode(KnnEntry &e)
 {
     ++stats_.knn.nodes_visited;
     const bool prune = e.metric == KnnMetric::Euclidean;
-    const WideNode &node = bvh_.nodes[e.fetch_index];
+    const WideNode &node = bvh_.nodes[e.fetch.index];
     for (const WideNode::Child &c : node.child) {
         if (c.kind == WideNode::Kind::Empty)
             continue;
@@ -437,708 +1006,9 @@ RtUnit::handleKnnResult(const core::DatapathOutput &out)
     maybeFinishKnn(e);
 }
 
-/** k-NN advance: the same (a)-(d) steps over query entries. Node
- *  expansion (the double-precision box lower bound) happens host-side
- *  at fetch arrival; only candidate distances consume datapath
- *  beats. */
-void
-RtUnit::advanceKnn()
-{
-    // (a) Input handshake outcome, per lane. Accepted starts are
-    // claimed in descending lane order so a shared entry's pending
-    // positions (claimed ascending in publishKnn) stay valid.
-    int waiting_mem = -1;
-    obs::Slot idle_cause = obs::Slot::kCount; // lazily classified
-    std::array<bool, kMaxIssueWidth> fired{};
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &in = lanes_[l]->in();
-        if (offers_[l].entry != kNoOffer && in.valid && in.ready) {
-            fired[l] = true;
-            ++stats_.datapath_beats;
-            ++stats_.beats_by_op[size_t(in.bits.op)];
-            ++stats_.knn.distance_beats;
-            ++stats_.slots[obs::Slot::Issued];
-        } else {
-            ++stats_.datapath_idle;
-            if (waiting_mem < 0) {
-                waiting_mem = 0;
-                for (const KnnEntry &e : knn_entries_) {
-                    if (e.state == EntryState::Fetching ||
-                        e.state == EntryState::NeedFetch) {
-                        waiting_mem = 1;
-                        break;
-                    }
-                }
-            }
-            if (waiting_mem)
-                ++stats_.stall_on_memory;
-            if (idle_cause == obs::Slot::kCount) {
-                bool need_fetch = false, in_dp = false;
-                for (const KnnEntry &e : knn_entries_) {
-                    if (e.state == EntryState::NeedFetch)
-                        need_fetch = true;
-                    else if (e.state == EntryState::ReadyTri ||
-                             e.state == EntryState::InFlight)
-                        in_dp = true;
-                }
-                for (const KnnLaneJob &j : knn_lane_)
-                    in_dp = in_dp || j.active;
-                idle_cause = classifyIdle(
-                    outstanding_ > 0 || !pending_knn_.empty(),
-                    need_fetch, in_dp);
-            }
-            ++stats_.slots[idle_cause];
-        }
-    }
-    for (size_t l = lanes_.size(); l-- > 0;) {
-        if (!fired[l])
-            continue;
-        KnnLaneJob &job = knn_lane_[l];
-        if (job.active) {
-            ++job.next_beat;
-            if (job.next_beat == job.beats.size())
-                job = KnnLaneJob{}; // last beat accepted: lane free
-            continue;
-        }
-        // First beat of a new candidate: take it off the entry and
-        // lock the lane until the job's last beat is accepted.
-        KnnEntry &e = knn_entries_[offers_[l].entry];
-        const size_t pos = offers_[l].beat;
-        const uint32_t tri = e.pending_cands[pos];
-        e.pending_cands.erase(e.pending_cands.begin() +
-                              ptrdiff_t(pos));
-        ++e.inflight_cands;
-        ++stats_.knn.candidates;
-        job.beats = knnCandidateBeats(offers_[l].entry, tri);
-        job.next_beat = 1;
-        job.active = job.next_beat < job.beats.size();
-        if (!job.active)
-            job = KnnLaneJob{};
-    }
-    // Entries whose leaf work fully issued move on to the next
-    // frontier item (the next fetch overlaps the in-flight scores).
-    for (KnnEntry &e : knn_entries_) {
-        if (e.state == EntryState::ReadyTri &&
-            e.pending_cands.empty())
-            popKnnFrontier(e);
-    }
-
-    // (b) Output handshake outcome, per lane.
-    for (core::RayFlexDatapath *lane : lanes_) {
-        if (lane->out().valid && lane->out().ready)
-            handleKnnResult(lane->out().bits);
-    }
-
-    // (c) Memory: completion-ordered retirement, then issue — same
-    // shared L1 / MSHR path as the ray schedulers.
-    retireMshrs();
-    for (auto it = mem_queue_.begin(); it != mem_queue_.end();) {
-        if (it->done_cycle <= now_) {
-            if (trace_)
-                trace_->record({now_, trace_unit_,
-                                obs::TraceEvent::FetchFill, it->addr,
-                                uint64_t(it->entry)});
-            KnnEntry &e = knn_entries_[it->entry];
-            if (e.fetch_is_leaf) {
-                ++stats_.knn.leaves_visited;
-                for (uint32_t t = 0; t < e.fetch_count; ++t)
-                    e.pending_cands.push_back(e.fetch_index + t);
-                e.state = EntryState::ReadyTri;
-            } else {
-                expandKnnNode(e);
-                popKnnFrontier(e);
-            }
-            it = mem_queue_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    unsigned issued = 0;
-    for (size_t i = 0; i < knn_entries_.size(); ++i) {
-        KnnEntry &e = knn_entries_[i];
-        if (e.state != EntryState::NeedFetch)
-            continue;
-        if (!mshrs_.enabled() &&
-            issued >= cfg_.mem_requests_per_cycle)
-            break;
-        if (issueFetch(i, e.fetch_is_leaf, e.fetch_index,
-                       e.fetch_count, issued))
-            e.state = EntryState::Fetching;
-    }
-
-    // (d) Refill free slots with queued queries.
-    for (size_t i = 0;
-         i < knn_entries_.size() && !pending_knn_.empty(); ++i) {
-        KnnEntry &e = knn_entries_[i];
-        if (e.state != EntryState::Idle)
-            continue;
-        PendingKnn pk = std::move(pending_knn_.front());
-        pending_knn_.pop_front();
-        e = KnnEntry{};
-        e.query_id = pk.query_id;
-        e.k = pk.query.k;
-        e.metric = pk.query.metric;
-        e.point = std::move(pk.query.point);
-        e.topk.reset(e.k);
-        if (knn_index_->points.empty() || e.k == 0) {
-            finishKnnQuery(e); // degenerate queries finish at admission
-            continue;
-        }
-        e.frontier.push_back({0.0, false, 0, 0, e.seq++});
-        if (e.frontier.size() > stats_.knn.frontier_peak)
-            stats_.knn.frontier_peak = e.frontier.size();
-        popKnnFrontier(e);
-    }
-}
-
-void
-RtUnit::popWork(Entry &e)
-{
-    // Pop past work items pruned by the current best hit.
-    while (!e.stack.empty()) {
-        WorkItem w = e.stack.back();
-        e.stack.pop_back();
-        if (e.best.hit && w.entry_t > e.best.t)
-            continue;
-        if (w.is_leaf) {
-            e.leaf_first = w.index;
-            e.leaf_next = w.index;
-        } else {
-            e.node = w.index;
-        }
-        // Both node and leaf data come from memory; leaf_count doubles
-        // as the fetched-data kind (> 0 leaf, 0 node).
-        e.leaf_count = w.is_leaf ? w.count : 0;
-        e.state = EntryState::NeedFetch;
-        return;
-    }
-    // Traversal complete.
-    finishRay(e, e.best);
-}
-
-void
-RtUnit::finishRay(Entry &e, const HitRecord &rec)
-{
-    results_[e.ray_id] = rec;
-    e.state = EntryState::Idle;
-    e.stack.clear();
-    --outstanding_;
-    ++stats_.rays_completed;
-}
-
-/** Move a packet's retired rays into the unit's results. */
-void
-RtUnit::drainCompleted(PacketTraversal &p)
-{
-    if (p.completed().empty())
-        return;
-    if (trace_)
-        trace_->record({now_, trace_unit_,
-                        obs::TraceEvent::PacketRetire,
-                        uint64_t(&p - packets_.data()),
-                        p.completed().size()});
-    for (const auto &[id, rec] : p.completed()) {
-        results_[id] = rec;
-        --outstanding_;
-        ++stats_.rays_completed;
-    }
-    p.completed().clear();
-}
-
-/** Occupancy-driven compaction (packet.compact_below > 0): pair
- *  packets sitting at a fetch boundary whose live occupancy fell
- *  below the threshold and repack the donor's surviving lanes into
- *  the recipient, freeing the donor slot for fresh rays. Greedy in
- *  slot order, so the pairing is a pure function of packet state and
- *  the engine's determinism contract holds. Two thinned packets
- *  rarely reach a fetch boundary on the same cycle, so a
- *  below-threshold packet DEFERS its next fetch for up to
- *  kCompactWaitCycles (see the issue loop in advancePacket) — the
- *  repacking window in which a partner can appear. */
-void
-RtUnit::compactPackets()
-{
-    const unsigned threshold = cfg_.packet.compact_below;
-    if (threshold == 0)
-        return;
-    for (size_t i = 0; i < packets_.size(); ++i) {
-        PacketTraversal &p = packets_[i];
-        if (!p.compactable())
-            continue;
-        unsigned live = p.liveLanes();
-        if (live == 0 || live >= threshold)
-            continue;
-        for (size_t j = i + 1;
-             j < packets_.size() && live < threshold; ++j) {
-            PacketTraversal &q = packets_[j];
-            if (!q.compactable())
-                continue;
-            const unsigned ql = q.liveLanes();
-            if (ql == 0 || ql >= threshold ||
-                live + ql > cfg_.packet.width)
-                continue;
-            p.absorb(q);
-            if (trace_)
-                trace_->record({now_, trace_unit_,
-                                obs::TraceEvent::PacketCompact,
-                                uint64_t(j), uint64_t(i)});
-            compact_hold_[i] = 0;
-            compact_hold_[j] = 0;
-            live += ql;
-        }
-    }
-}
-
-/** Packet-mode publish: offer up to issue_width beats, scanning
- *  packets first-ready (same policy as the scalar path); one packet
- *  with several pending beats may fill several lanes in one cycle —
- *  the SIMD-style multi-ray beats of the wavefront scheduler. */
-void
-RtUnit::publishPacket()
-{
-    size_t lane = 0;
-    for (size_t i = 0; i < packets_.size() && lane < lanes_.size();
-         ++i) {
-        PacketTraversal &p = packets_[i];
-        if (!p.issueReady())
-            continue;
-        p.pruneDeadBeats();
-        const size_t nb = p.pendingCount();
-        for (size_t j = 0; j < nb && lane < lanes_.size();
-             ++j, ++lane) {
-            lanes_[lane]->in().valid = true;
-            lanes_[lane]->in().bits = p.makeBeatAt(j, i);
-            offers_[lane] = {i, j};
-        }
-    }
-    for (; lane < lanes_.size(); ++lane)
-        lanes_[lane]->in().valid = false;
-}
-
-void
-RtUnit::publish(uint64_t)
-{
-    // Always willing to drain results, every lane.
-    for (core::RayFlexDatapath *l : lanes_)
-        l->out().ready = true;
-    for (LaneOffer &o : offers_)
-        o = LaneOffer{};
-
-    if (knnMode()) {
-        publishKnn();
-        return;
-    }
-    if (packetized()) {
-        publishPacket();
-        return;
-    }
-
-    // Offer one beat per lane from the first ready entries
-    // (round-robin would be fairer; first-ready is sufficient for
-    // utilization studies). An entry has at most one beat in flight,
-    // so the scan hands each lane a distinct entry.
-    size_t next = 0;
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        bool found = false;
-        for (size_t i = next; i < entries_.size(); ++i) {
-            Entry &e = entries_[i];
-            if (e.state == EntryState::ReadyBox) {
-                DatapathInput in;
-                in.op = Opcode::RayBox;
-                in.ray = e.ray;
-                in.tag = i;
-                const WideNode &node = bvh_.nodes[e.node];
-                for (int c = 0; c < 4; ++c) {
-                    in.boxes[c] =
-                        node.child[c].kind == WideNode::Kind::Empty
-                            ? emptySlotBox()
-                            : node.child[c].bounds.toIoBox();
-                }
-                lanes_[l]->in().valid = true;
-                lanes_[l]->in().bits = in;
-            } else if (e.state == EntryState::ReadyTri) {
-                DatapathInput in;
-                in.op = Opcode::RayTriangle;
-                in.ray = e.ray;
-                in.tag = i;
-                in.tri = bvh_.tris[e.leaf_next].toIoTriangle();
-                lanes_[l]->in().valid = true;
-                lanes_[l]->in().bits = in;
-            } else {
-                continue;
-            }
-            offers_[l].entry = i;
-            next = i + 1;
-            found = true;
-            break;
-        }
-        if (!found)
-            lanes_[l]->in().valid = false;
-    }
-}
-
-void
-RtUnit::handleResult(const core::DatapathOutput &out)
-{
-    Entry &e = entries_[out.tag];
-    if (out.op == Opcode::RayBox) {
-        const WideNode &node = bvh_.nodes[e.node];
-        // Push hit children farthest-first so the nearest pops first.
-        for (int i = 3; i >= 0; --i) {
-            uint8_t slot = out.box.order[i];
-            if (!out.box.hit[slot])
-                continue;
-            const auto &c = node.child[slot];
-            WorkItem w;
-            w.entry_t = fromBits(out.box.sorted_dist[i]);
-            if (c.kind == WideNode::Kind::Internal) {
-                w.is_leaf = false;
-                w.index = c.index;
-            } else {
-                w.is_leaf = true;
-                w.index = c.index;
-                w.count = c.count;
-            }
-            e.stack.push_back(w);
-        }
-        popWork(e);
-    } else {
-        // e.inflight_tri was latched at issue time (when leaf_next
-        // advanced past it), so it names exactly the triangle this
-        // result tested.
-        const SceneTriangle &tri = bvh_.tris[e.inflight_tri];
-        if (out.tri.hit) {
-            float den = fromBits(out.tri.t_den);
-            if (den != 0.0f) {
-                float t = fromBits(out.tri.t_num) / den;
-                if (t >= e.t_beg && t <= e.t_max &&
-                    (!e.best.hit || t < e.best.t)) {
-                    if (cfg_.mode == TraversalMode::Any) {
-                        // First in-extent hit retires the ray; the
-                        // record carries only the flag (see
-                        // TraversalMode::Any).
-                        HitRecord occluded;
-                        occluded.hit = true;
-                        finishRay(e, occluded);
-                        return;
-                    }
-                    e.best.hit = true;
-                    e.best.t = t;
-                    e.best.triangle_id = tri.id;
-                    float u = fromBits(out.tri.uvw[0]);
-                    float v = fromBits(out.tri.uvw[1]);
-                    float w = fromBits(out.tri.uvw[2]);
-                    e.best.u = u / den;
-                    e.best.v = v / den;
-                    e.best.w = w / den;
-                }
-            }
-        }
-        if (e.leaf_next < e.leaf_first + e.leaf_count) {
-            e.state = EntryState::ReadyTri; // more triangles in leaf
-        } else {
-            popWork(e);
-        }
-    }
-}
-
-/** Packet-mode advance: the same (a)-(d) steps over packet slots. */
-void
-RtUnit::advancePacket()
-{
-    // (a) Input handshake outcome, per lane. Accepted beats are popped
-    // in descending lane order so a packet's remaining pending-beat
-    // indices stay valid (its offers were taken in ascending order).
-    // waiting-on-memory is computed lazily on the first idle lane and
-    // cached for the cycle (no packet changes NeedFetch/Fetching state
-    // during this step, so the first answer holds for every lane).
-    int waiting_mem = -1;
-    obs::Slot idle_cause = obs::Slot::kCount; // lazily classified
-    std::array<bool, kMaxIssueWidth> fired{};
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &in = lanes_[l]->in();
-        if (offers_[l].entry != kNoOffer && in.valid && in.ready) {
-            fired[l] = true;
-            ++stats_.datapath_beats;
-            ++stats_.beats_by_op[size_t(in.bits.op)];
-            ++stats_.slots[obs::Slot::Issued];
-        } else {
-            ++stats_.datapath_idle;
-            if (waiting_mem < 0) {
-                waiting_mem = 0;
-                for (const PacketTraversal &p : packets_) {
-                    if (p.waitingOnMemory()) {
-                        waiting_mem = 1;
-                        break;
-                    }
-                }
-            }
-            if (waiting_mem)
-                ++stats_.stall_on_memory;
-            if (idle_cause == obs::Slot::kCount) {
-                bool need_fetch = false, in_dp = false;
-                for (const PacketTraversal &p : packets_) {
-                    if (p.needsFetch())
-                        need_fetch = true;
-                    else if (p.issueReady())
-                        in_dp = true;
-                }
-                for (const auto &q : lane_inflight_)
-                    in_dp = in_dp || !q.empty();
-                idle_cause = classifyIdle(
-                    outstanding_ > 0 || !pending_rays_.empty(),
-                    need_fetch, in_dp);
-            }
-            ++stats_.slots[idle_cause];
-        }
-    }
-    for (size_t l = lanes_.size(); l-- > 0;) {
-        if (!fired[l])
-            continue;
-        const LaneOffer o = offers_[l];
-        lane_inflight_[l].push_back(
-            {o.entry, packets_[o.entry].takeBeatAt(o.beat)});
-    }
-
-    // (b) Output handshake outcome, per lane. Each lane is in order,
-    // so its front in-flight beat identifies the result's packet,
-    // member lane and triangle. A result can complete the packet's
-    // current item, push children and retire lanes whose work ran out.
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &out = lanes_[l]->out();
-        if (out.valid && out.ready) {
-            const InflightBeat ib = lane_inflight_[l].front();
-            lane_inflight_[l].pop_front();
-            PacketTraversal &p = packets_[ib.slot];
-            p.handleResult(out.bits, ib.beat);
-            drainCompleted(p);
-        }
-    }
-
-    // Occupancy-driven repacking at fetch boundaries, before new
-    // fetches are issued for the packets involved.
-    compactPackets();
-
-    // (c) Memory: completion-ordered retirement, then issue — one
-    // fetch serves a packet's whole active mask, and the MSHR file
-    // (when enabled) merges duplicate in-flight targets across
-    // packets.
-    retireMshrs();
-    for (auto it = mem_queue_.begin(); it != mem_queue_.end();) {
-        if (it->done_cycle <= now_) {
-            if (trace_)
-                trace_->record({now_, trace_unit_,
-                                obs::TraceEvent::FetchFill, it->addr,
-                                uint64_t(it->entry)});
-            packets_[it->entry].fetchArrived();
-            it = mem_queue_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    unsigned issued = 0;
-    for (size_t i = 0; i < packets_.size(); ++i) {
-        PacketTraversal &p = packets_[i];
-        if (!p.needsFetch())
-            continue;
-        if (!mshrs_.enabled() &&
-            issued >= cfg_.mem_requests_per_cycle)
-            break;
-        // A below-threshold packet defers its fetch inside the
-        // repacking window, waiting for a partner to reach a fetch
-        // boundary (compactPackets pairs them). The window is bounded,
-        // so an unlucky packet resumes alone after it expires.
-        if (cfg_.packet.compact_below > 0 &&
-            compact_hold_[i] < kCompactWaitCycles) {
-            const unsigned live = p.liveLanes();
-            if (live > 0 && live < cfg_.packet.compact_below) {
-                ++compact_hold_[i];
-                continue;
-            }
-        }
-        if (issueFetch(i, p.fetchIsLeaf(), p.fetchIndex(),
-                       p.fetchCount(), issued)) {
-            p.fetchIssued();
-            compact_hold_[i] = 0;
-        }
-    }
-
-    // (d) Refill idle packet slots with queued rays. Consecutive rays
-    // form one packet, so coherent submissions (camera batches) become
-    // coherent packets.
-    for (size_t i = 0; i < packets_.size() && !pending_rays_.empty();
-         ++i) {
-        PacketTraversal &p = packets_[i];
-        if (!p.idle())
-            continue;
-        p.admit(pending_rays_);
-        if (trace_)
-            trace_->record({now_, trace_unit_,
-                            obs::TraceEvent::PacketForm, uint64_t(i),
-                            p.liveLanes()});
-        drainCompleted(p); // empty-scene rays complete at admission
-    }
-
-    // Occupancy counter sample: live lanes across all packet slots,
-    // emitted on change only (tracing off costs one pointer test).
-    if (trace_) {
-        uint64_t occ = 0;
-        for (const PacketTraversal &p : packets_)
-            occ += p.liveLanes();
-        if (occ != trace_occupancy_last_) {
-            trace_occupancy_last_ = occ;
-            trace_->record({now_, trace_unit_,
-                            obs::TraceEvent::PacketOccupancy, occ, 0});
-        }
-    }
-}
-
-void
-RtUnit::advance(uint64_t cycle)
-{
-    // A finished unit idles: in chip mode the shared simulator keeps
-    // ticking until the slowest unit drains, and a done unit must stop
-    // accumulating cycles/idle-slot counters (its per-unit `cycles` is
-    // the cycle its own rays completed). Unreachable under run(),
-    // whose loop stops at outstanding_ == 0 — single-unit schedules
-    // are bit-for-bit unaffected.
-    if (outstanding_ == 0 && pending_rays_.empty() &&
-        pending_knn_.empty())
-        return;
-    now_ = cycle;
-    ++stats_.cycles;
-
-    if (knnMode()) {
-        advanceKnn();
-        return;
-    }
-    if (packetized()) {
-        advancePacket();
-        return;
-    }
-
-    // (a) Input handshake outcome, per lane. waiting-on-memory is
-    // computed lazily on the first idle lane and cached for the cycle
-    // (accepted beats only move Ready* entries to InFlight, never in
-    // or out of NeedFetch/Fetching, so the first answer holds).
-    int waiting_mem = -1;
-    obs::Slot idle_cause = obs::Slot::kCount; // lazily classified
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &in = lanes_[l]->in();
-        if (offers_[l].entry != kNoOffer && in.valid && in.ready) {
-            Entry &e = entries_[offers_[l].entry];
-            ++stats_.datapath_beats;
-            ++stats_.beats_by_op[size_t(in.bits.op)];
-            ++stats_.slots[obs::Slot::Issued];
-            if (e.state == EntryState::ReadyBox) {
-                e.state = EntryState::InFlight;
-            } else {
-                e.inflight_tri = e.leaf_next;
-                ++e.leaf_next;
-                e.state = EntryState::InFlight;
-            }
-        } else {
-            ++stats_.datapath_idle;
-            if (waiting_mem < 0) {
-                waiting_mem = 0;
-                for (const Entry &e : entries_) {
-                    if (e.state == EntryState::Fetching ||
-                        e.state == EntryState::NeedFetch) {
-                        waiting_mem = 1;
-                        break;
-                    }
-                }
-            }
-            if (waiting_mem)
-                ++stats_.stall_on_memory;
-            if (idle_cause == obs::Slot::kCount) {
-                // Ready* counts as in-datapath work: accepted offers
-                // move Ready -> InFlight during this very loop, so
-                // folding both states keeps the answer constant
-                // whichever lane classifies first.
-                bool need_fetch = false, in_dp = false;
-                for (const Entry &e : entries_) {
-                    if (e.state == EntryState::NeedFetch)
-                        need_fetch = true;
-                    else if (e.state == EntryState::ReadyBox ||
-                             e.state == EntryState::ReadyTri ||
-                             e.state == EntryState::InFlight)
-                        in_dp = true;
-                }
-                idle_cause = classifyIdle(
-                    outstanding_ > 0 || !pending_rays_.empty(),
-                    need_fetch, in_dp);
-            }
-            ++stats_.slots[idle_cause];
-        }
-    }
-
-    // (b) Output handshake outcome, per lane.
-    for (core::RayFlexDatapath *lane : lanes_) {
-        if (lane->out().valid && lane->out().ready)
-            handleResult(lane->out().bits);
-    }
-
-    // (c) Memory: retire due responses, issue new fetches. Retirement
-    // is completion-ordered, not FIFO: with the cache backend a cheap
-    // hit issued behind an expensive miss completes first and must not
-    // be held at the queue head, or the hit latency the cache model
-    // exists to expose would be masked. (Under a uniform-latency
-    // backend completion order equals issue order, so this retires
-    // exactly what the original FIFO pop did, cycle for cycle.)
-    retireMshrs();
-    for (auto it = mem_queue_.begin(); it != mem_queue_.end();) {
-        if (it->done_cycle <= now_) {
-            if (trace_)
-                trace_->record({now_, trace_unit_,
-                                obs::TraceEvent::FetchFill, it->addr,
-                                uint64_t(it->entry)});
-            Entry &e = entries_[it->entry];
-            e.state = e.leaf_count > 0 ? EntryState::ReadyTri
-                                       : EntryState::ReadyBox;
-            it = mem_queue_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    unsigned issued = 0;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-        Entry &e = entries_[i];
-        if (e.state != EntryState::NeedFetch)
-            continue;
-        if (!mshrs_.enabled() &&
-            issued >= cfg_.mem_requests_per_cycle)
-            break;
-        if (issueFetch(i, e.leaf_count > 0, e.leaf_count > 0
-                                                ? e.leaf_first
-                                                : e.node,
-                       e.leaf_count, issued))
-            e.state = EntryState::Fetching;
-    }
-
-    // (d) Refill free slots with queued rays.
-    for (size_t i = 0; i < entries_.size() && !pending_rays_.empty();
-         ++i) {
-        Entry &e = entries_[i];
-        if (e.state != EntryState::Idle)
-            continue;
-        const PendingRay pr = pending_rays_.front();
-        pending_rays_.pop_front();
-        e = Entry{};
-        e.ray = pr.ray;
-        e.ray_id = pr.ray_id;
-        e.t_beg = fromBits(pr.ray.t_beg);
-        e.t_max = fromBits(pr.ray.t_end);
-        if (bvh_.tris.empty()) {
-            results_[e.ray_id] = HitRecord{};
-            --outstanding_;
-            ++stats_.rays_completed;
-            continue;
-        }
-        e.stack.push_back({false, 0, 0, 0.0f});
-        popWork(e);
-    }
-}
+// ---------------------------------------------------------------------
+// Run control
+// ---------------------------------------------------------------------
 
 void
 RtUnit::registerWith(pipeline::Simulator &sim)

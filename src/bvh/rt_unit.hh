@@ -13,14 +13,15 @@
  * that merges duplicate in-flight fetches and back-pressures slots
  * when full — supplies BVH data, and a scheduler feeds ready rays
  * into a datapath of RtUnitConfig::issue_width replicated lanes, up
- * to one beat per lane per cycle. Two scheduling modes exist: the
- * scalar mode traces one independent ray per ray-buffer entry, and
- * the packet/wavefront mode (RtUnitConfig::packet, bvh/packet.hh)
- * groups coherent rays into packets that share a traversal stack and
- * one BVH fetch per visited node, optionally repacking
- * divergence-thinned packets (PacketConfig::compact_below). This is
- * the model used to measure datapath utilization, memory sensitivity
- * and rays/cycle on real scenes.
+ * to one beat per lane per cycle. One cycle loop serves three
+ * scheduling modes: the scalar mode traces one independent ray per
+ * ray-buffer entry, the packet/wavefront mode (RtUnitConfig::packet,
+ * bvh/packet.hh) groups coherent rays into packets that share a
+ * traversal stack and one BVH fetch per visited node, optionally
+ * repacking divergence-thinned packets (PacketConfig::compact_below),
+ * and the k-NN mode walks a KnnIndex for nearest-neighbor queries.
+ * This is the model used to measure datapath utilization, memory
+ * sensitivity and rays/cycle on real scenes.
  */
 #ifndef RAYFLEX_BVH_RT_UNIT_HH
 #define RAYFLEX_BVH_RT_UNIT_HH
@@ -107,12 +108,7 @@ struct RtUnitStats
      *  sum(beats_by_op) == datapath_beats == slots[Issued] on every
      *  run and across merge(). */
     std::array<uint64_t, core::kNumOpcodes> beats_by_op{};
-    /** Issue slots (lanes x cycles) with no beat issued. At
-     *  issue_width == 1 this is exactly the legacy cycles-with-no-beat
-     *  counter; wider units can lose several slots per cycle. */
-    uint64_t datapath_idle = 0;
     uint64_t mem_requests = 0;     ///< fetches that reached the L1
-    uint64_t stall_on_memory = 0;  ///< issue slots lost waiting on fetch
 
     /** Node-cache counters; all-zero under MemBackend::FixedLatency.
      *  Merges with the same commutative sums as the rest of the
@@ -137,8 +133,21 @@ struct RtUnitStats
      *  slots.total() == cycles * issue_width for a single run and the
      *  identity survives merge() (both sides are sums). The Issued
      *  bucket equals datapath_beats and the others partition
-     *  datapath_idle by cause. */
+     *  datapathIdle() by cause. */
     obs::SlotAccounting slots;
+
+    /** Issue slots (lanes x cycles) with no beat issued. At
+     *  issue_width == 1 this is exactly the legacy cycles-with-no-beat
+     *  counter; wider units can lose several slots per cycle. */
+    uint64_t
+    datapathIdle() const
+    {
+        return slots.total() - slots[obs::Slot::Issued];
+    }
+
+    /** Issue slots lost waiting on a fetch: to issue it (MSHR file
+     *  full, issue bandwidth) or for it to return. */
+    uint64_t stallOnMemory() const { return slots.memoryStallSlots(); }
 
     /** Chip wall-clock cycles (sim::Engine chip mode): lock-step ticks
      *  of the whole chip, summed across batches. Unlike `cycles` (which
@@ -183,9 +192,7 @@ struct RtUnitStats
         datapath_beats += o.datapath_beats;
         for (size_t op = 0; op < beats_by_op.size(); ++op)
             beats_by_op[op] += o.beats_by_op[op];
-        datapath_idle += o.datapath_idle;
         mem_requests += o.mem_requests;
-        stall_on_memory += o.stall_on_memory;
         mem.merge(o.mem);
         packet.merge(o.packet);
         mshr.merge(o.mshr);
@@ -321,14 +328,22 @@ class RtUnit : public pipeline::Component
         float entry_t = 0;  ///< child entry distance (for pruning)
     };
 
+    /** A fetch target: one wide node, or a whole leaf's triangles. */
+    struct FetchItem
+    {
+        bool is_leaf = false;
+        uint32_t index = 0; ///< node index or first triangle
+        uint32_t count = 0; ///< triangle count when leaf
+    };
+
     struct Entry
     {
         EntryState state = EntryState::Idle;
         core::Ray ray;
         uint32_t ray_id = 0;
         std::vector<WorkItem> stack; ///< pending work, nearest on top
-        uint32_t node = 0;           ///< node being processed
-        uint32_t leaf_first = 0, leaf_count = 0, leaf_next = 0;
+        FetchItem item;              ///< work item being processed
+        uint32_t leaf_next = 0;      ///< next triangle to offer
         uint32_t inflight_tri = 0;   ///< triangle of the in-flight beat
         HitRecord best;
         float t_beg = 0;
@@ -350,30 +365,58 @@ class RtUnit : public pipeline::Component
         uint64_t queue_until = 0;
     };
 
-    void popWork(Entry &e);
-    void finishRay(Entry &e, const HitRecord &rec);
-    void handleResult(const core::DatapathOutput &out);
     /** Synthetic address and size of a fetch target (the MSHR merge
      *  key and what the shared L1 is charged for). */
-    void fetchTarget(bool is_leaf, uint32_t index, uint32_t count,
-                     uint64_t *addr, uint32_t *bytes) const;
+    void fetchTarget(const FetchItem &f, uint64_t *addr,
+                     uint32_t *bytes) const;
     /** Exclusive cause of an idle issue slot this cycle (the
      *  non-Issued buckets of obs::Slot). All idle slots of one cycle
-     *  share one cause, so callers classify lazily once per cycle.
-     *  `have_work`: work was submitted and not yet retired;
-     *  `need_fetch`: a slot sits in NeedFetch; `in_datapath`: work is
-     *  ready for or riding the issue lanes. */
-    obs::Slot classifyIdle(bool have_work, bool need_fetch,
-                           bool in_datapath) const;
-    /** Step-(c) MSHR retirement shared by the schedulers (residency
-     *  trace sample + refusal-flag re-arm). */
+     *  share one cause, so advance() classifies lazily once per
+     *  cycle. */
+    obs::Slot classifyIdle() const;
+    /** Step-(c) MSHR retirement (residency trace sample + refusal-flag
+     *  re-arm). */
     void retireMshrs();
     /** Route one fetch through the MSHR file (when enabled) or
      *  straight to the L1. @return true when the fetch left the slot
      *  (allocated or merged); false on MSHR-full or exhausted
      *  mem-issue bandwidth, leaving the slot in NeedFetch. */
-    bool issueFetch(size_t slot, bool is_leaf, uint32_t index,
-                    uint32_t count, unsigned &issued);
+    bool issueFetch(size_t slot, const FetchItem &f, unsigned &issued);
+
+    // ----- per-mode hooks of the publish/advance skeleton -----
+    // A "slot" is a scalar Entry, a PacketTraversal or a KnnEntry; the
+    // skeleton only ever addresses slots by index.
+
+    /** True when the packet/wavefront scheduler is active. */
+    bool packetized() const { return cfg_.packet.width > 1; }
+    bool knnMode() const { return knn_index_ != nullptr; }
+    size_t slotCount() const;
+    /** Queued work waits for a free slot. */
+    bool workPending() const;
+    /** Beats slot `i` can offer this cycle (packet mode first drops
+     *  the beats of retired lanes). */
+    size_t offerableBeats(size_t i);
+    /** Datapath input of slot `i`'s offerable beat `j`. */
+    core::DatapathInput offerInput(size_t i, size_t j) const;
+    /** Lane `lane` accepted its offer (offers_[lane]). */
+    void acceptBeat(size_t lane);
+    /** The classifyIdle inputs: a slot sits in NeedFetch; work is
+     *  ready for or riding the issue lanes. */
+    void slotOccupancy(bool *need_fetch, bool *in_datapath) const;
+    /** Slot `i`'s fetch target; false when it is not in NeedFetch. */
+    bool pendingFetch(size_t i, FetchItem *f) const;
+    /** Packet compaction window: true defers slot `i`'s fetch. */
+    bool holdFetch(size_t i);
+    void fetchIssued(size_t i);
+    void fillArrived(size_t i);
+    void laneResult(size_t lane, const core::DatapathOutput &out);
+    /** Admit queued work into slot `i` if it is free. */
+    void admitWork(size_t i);
+
+    // ----- scalar mode -----
+    void popWork(Entry &e);
+    void finishRay(Entry &e, const HitRecord &rec);
+    void handleResult(const core::DatapathOutput &out);
 
     // ----- k-NN mode (constructed over a KnnIndex) -----
 
@@ -390,8 +433,7 @@ class RtUnit : public pipeline::Component
         /** Min-heap (KnnFrontierAfter) of unvisited subtrees. */
         std::vector<KnnFrontierItem> frontier;
         uint64_t seq = 0; ///< frontier tie-break sequence
-        bool fetch_is_leaf = false;
-        uint32_t fetch_index = 0, fetch_count = 0;
+        FetchItem fetch;
         /** Fetched-leaf candidates (tri indices) not yet started. */
         std::deque<uint32_t> pending_cands;
         /** Candidates started on a lane, score not yet drained. */
@@ -420,9 +462,6 @@ class RtUnit : public pipeline::Component
         uint32_t query_id = 0;
     };
 
-    bool knnMode() const { return knn_index_ != nullptr; }
-    void publishKnn();
-    void advanceKnn();
     /** Pop the next non-prunable frontier item into the fetch target
      *  (state NeedFetch), or mark the entry draining. */
     void popKnnFrontier(KnnEntry &e);
@@ -449,12 +488,9 @@ class RtUnit : public pipeline::Component
     std::deque<PendingKnn> pending_knn_;
     std::vector<KnnResult> knn_results_;
 
-    /** True when the packet/wavefront scheduler is active. */
-    bool packetized() const { return cfg_.packet.width > 1; }
+    // ----- packet mode -----
     void drainCompleted(PacketTraversal &p);
     void compactPackets();
-    void publishPacket();
-    void advancePacket();
 
     const Bvh4 &bvh_;
     core::RayFlexDatapath &dp_;
@@ -503,8 +539,8 @@ class RtUnit : public pipeline::Component
     static constexpr size_t kNoOffer = ~size_t(0);
     struct LaneOffer
     {
-        size_t entry = kNoOffer; ///< entry (scalar) or packet slot
-        size_t beat = 0;         ///< pending-beat index (packet mode)
+        size_t entry = kNoOffer; ///< slot index
+        size_t beat = 0;         ///< the slot's offerable-beat index
     };
     std::vector<LaneOffer> offers_;
     /** Per-lane in-flight beats (packet mode): each accepted beat,

@@ -123,8 +123,9 @@ WorkloadGen::rayTriangleOp(uint64_t tag)
     if (rng_() & 1u) {
         in.ray = ray();
     } else {
-        // Aim at a random interior point of the triangle.
-        float u = uniform(0.05f, 0.9f);
+        // Aim at a random interior point of the triangle. u <= 0.85
+        // keeps v's range [0.05, 0.9 - u] non-empty.
+        float u = uniform(0.05f, 0.85f);
         float v = uniform(0.05f, 0.9f - u);
         float w = 1.0f - u - v;
         float target[3], o[3], d[3];

@@ -14,7 +14,6 @@
  */
 #include "sim/executor.hh"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -45,35 +44,41 @@ BatchExecutor::chipActive() const
            cfg_.chip.active();
 }
 
-BatchResult
-BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
-                            const bvh::RtUnitConfig &rt_cfg) const
+namespace
 {
-    const unsigned units =
-        std::clamp(cfg_.chip.units, 1u, kMaxChipUnits);
+
+/** The lock-step chip runner shared by ray and k-NN batches: build
+ *  the units (`make` constructs one over a fresh datapath), attach
+ *  the L2 tier and the trace sink, hand item k to unit k % units as
+ *  local id k / units (`submit`), tick until every unit is done, then
+ *  merge the stats and scatter the results (`gather`). */
+template <class Make, class Submit, class Gather>
+BatchResult
+runChip(const ExecutorConfig &cfg, size_t n, Make make, Submit submit,
+        Gather gather)
+{
+    const unsigned units = cfg.chip.clampedUnits();
 
     std::vector<std::unique_ptr<core::RayFlexDatapath>> dps;
     std::vector<std::unique_ptr<bvh::RtUnit>> us;
     dps.reserve(units);
     us.reserve(units);
     for (unsigned u = 0; u < units; ++u) {
-        dps.push_back(
-            std::make_unique<core::RayFlexDatapath>(cfg_.dp));
-        us.push_back(
-            std::make_unique<bvh::RtUnit>(bvh_, *dps[u], rt_cfg));
+        dps.push_back(std::make_unique<core::RayFlexDatapath>(cfg.dp));
+        us.push_back(make(*dps[u]));
     }
 
     std::unique_ptr<bvh::SharedL2> shared;
     std::vector<std::unique_ptr<bvh::SharedL2>> priv;
-    if (cfg_.chip.l2 == L2Mode::Shared) {
-        shared = std::make_unique<bvh::SharedL2>(cfg_.chip.l2cfg);
+    if (cfg.chip.l2 == L2Mode::Shared) {
+        shared = std::make_unique<bvh::SharedL2>(cfg.chip.l2cfg);
         for (unsigned u = 0; u < units; ++u)
             us[u]->attachSharedL2(shared.get(), u);
-    } else if (cfg_.chip.l2 == L2Mode::Private) {
+    } else if (cfg.chip.l2 == L2Mode::Private) {
         priv.reserve(units);
         for (unsigned u = 0; u < units; ++u) {
             priv.push_back(
-                std::make_unique<bvh::SharedL2>(cfg_.chip.l2cfg));
+                std::make_unique<bvh::SharedL2>(cfg.chip.l2cfg));
             // Every unit sits at ring stop 0 of its own private L2:
             // no interconnect sharing to model.
             us[u]->attachSharedL2(priv[u].get(), 0);
@@ -83,7 +88,7 @@ BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
     // One sink per batch: the units tick lock-step on this thread, so
     // emission order is deterministic (see BatchResult::trace).
     obs::VectorTraceSink sink;
-    if (cfg_.trace) {
+    if (cfg.trace) {
         for (unsigned u = 0; u < units; ++u)
             us[u]->attachTrace(&sink, u);
         if (shared)
@@ -91,8 +96,7 @@ BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
     }
 
     for (size_t k = 0; k < n; ++k)
-        us[k % units]->submit(*refs[k].ray, uint32_t(k / units),
-                              refs[k].job);
+        submit(*us[k % units], k, uint32_t(k / units));
 
     pipeline::Simulator sim;
     for (auto &u : us)
@@ -107,7 +111,7 @@ BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
         return true;
     };
     uint64_t ticks = 0;
-    while (!all_done() && ticks < cfg_.max_cycles_per_batch) {
+    while (!all_done() && ticks < cfg.max_cycles_per_batch) {
         sim.tick();
         ++ticks;
     }
@@ -133,99 +137,12 @@ BatchExecutor::runChipBatch(const BatchRayRef *refs, size_t n,
     }
 
     for (size_t k = 0; k < n; ++k)
-        *refs[k].out = us[k % units]->results()[k / units];
+        gather(*us[k % units], k, k / units);
     res.trace = sink.take();
     return res;
 }
 
-BatchResult
-BatchExecutor::runChipKnnBatch(const KnnBatchRef *refs, size_t n) const
-{
-    const unsigned units =
-        std::clamp(cfg_.chip.units, 1u, kMaxChipUnits);
-
-    std::vector<std::unique_ptr<core::RayFlexDatapath>> dps;
-    std::vector<std::unique_ptr<bvh::RtUnit>> us;
-    dps.reserve(units);
-    us.reserve(units);
-    for (unsigned u = 0; u < units; ++u) {
-        dps.push_back(
-            std::make_unique<core::RayFlexDatapath>(cfg_.dp));
-        us.push_back(std::make_unique<bvh::RtUnit>(*knn_index_,
-                                                   *dps[u], cfg_.rt));
-    }
-
-    std::unique_ptr<bvh::SharedL2> shared;
-    std::vector<std::unique_ptr<bvh::SharedL2>> priv;
-    if (cfg_.chip.l2 == L2Mode::Shared) {
-        shared = std::make_unique<bvh::SharedL2>(cfg_.chip.l2cfg);
-        for (unsigned u = 0; u < units; ++u)
-            us[u]->attachSharedL2(shared.get(), u);
-    } else if (cfg_.chip.l2 == L2Mode::Private) {
-        priv.reserve(units);
-        for (unsigned u = 0; u < units; ++u) {
-            priv.push_back(
-                std::make_unique<bvh::SharedL2>(cfg_.chip.l2cfg));
-            us[u]->attachSharedL2(priv[u].get(), 0);
-        }
-    }
-
-    obs::VectorTraceSink sink;
-    if (cfg_.trace) {
-        for (unsigned u = 0; u < units; ++u)
-            us[u]->attachTrace(&sink, u);
-        if (shared)
-            shared->setTraceSink(&sink);
-    }
-
-    // Same round-robin as the ray path: query k goes to unit
-    // k % units with local id k / units.
-    for (size_t k = 0; k < n; ++k)
-        us[k % units]->submitKnn(*refs[k].query, uint32_t(k / units));
-
-    pipeline::Simulator sim;
-    for (auto &u : us)
-        u->registerWith(sim);
-    for (auto &u : us)
-        u->beginRun();
-
-    const auto all_done = [&us] {
-        for (const auto &u : us)
-            if (!u->done())
-                return false;
-        return true;
-    };
-    uint64_t ticks = 0;
-    while (!all_done() && ticks < cfg_.max_cycles_per_batch) {
-        sim.tick();
-        ++ticks;
-    }
-    if (!all_done())
-        throw std::runtime_error(
-            "Engine: chip k-NN batch exceeded max_cycles_per_batch");
-
-    BatchResult res;
-    for (auto &u : us)
-        res.unit.merge(u->endRun());
-    res.unit.chip_cycles = ticks;
-    res.sim_cycles = ticks;
-    if (shared) {
-        res.unit.l2_banks = shared->bankStats();
-    } else {
-        for (const auto &p : priv) {
-            const std::vector<bvh::L2Stats> &bs = p->bankStats();
-            if (res.unit.l2_banks.size() < bs.size())
-                res.unit.l2_banks.resize(bs.size());
-            for (size_t b = 0; b < bs.size(); ++b)
-                res.unit.l2_banks[b].merge(bs[b]);
-        }
-    }
-
-    for (size_t k = 0; k < n; ++k)
-        *refs[k].out = us[k % units]->knnResults()[k / units];
-    res.trace = sink.take();
-    return res;
-}
+} // namespace
 
 BatchResult
 BatchExecutor::executeKnnBatch(const KnnBatchRef *refs, size_t n) const
@@ -236,7 +153,18 @@ BatchExecutor::executeKnnBatch(const KnnBatchRef *refs, size_t n) const
             "constructed over a KnnIndex");
 
     if (chipActive())
-        return runChipKnnBatch(refs, n);
+        return runChip(
+            cfg_, n,
+            [&](core::RayFlexDatapath &dp) {
+                return std::make_unique<bvh::RtUnit>(*knn_index_, dp,
+                                                     cfg_.rt);
+            },
+            [&](bvh::RtUnit &u, size_t k, uint32_t id) {
+                u.submitKnn(*refs[k].query, id);
+            },
+            [&](const bvh::RtUnit &u, size_t k, size_t id) {
+                *refs[k].out = u.knnResults()[id];
+            });
 
     BatchResult res;
     if (cfg_.model == ExecutionModel::CycleAccurate) {
@@ -274,7 +202,17 @@ BatchExecutor::executeBatch(const BatchRayRef *refs, size_t n,
                           : bvh::TraversalMode::Closest;
 
     if (chipActive())
-        return runChipBatch(refs, n, rt_cfg);
+        return runChip(
+            cfg_, n,
+            [&](core::RayFlexDatapath &dp) {
+                return std::make_unique<bvh::RtUnit>(bvh_, dp, rt_cfg);
+            },
+            [&](bvh::RtUnit &u, size_t k, uint32_t id) {
+                u.submit(*refs[k].ray, id, refs[k].job);
+            },
+            [&](const bvh::RtUnit &u, size_t k, size_t id) {
+                *refs[k].out = u.results()[id];
+            });
 
     BatchResult res;
     if (cfg_.model == ExecutionModel::CycleAccurate) {

@@ -22,6 +22,7 @@
 #ifndef RAYFLEX_SIM_EXECUTOR_HH
 #define RAYFLEX_SIM_EXECUTOR_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "bvh/rt_unit.hh"
@@ -69,7 +70,8 @@ inline constexpr unsigned kMaxChipUnits = 16;
  *  contract holds for hits, timing and every L2 counter. */
 struct ChipConfig
 {
-    /** RT units per chip, clamped to 1..kMaxChipUnits. */
+    /** RT units per chip, clamped to 1..kMaxChipUnits
+     *  (clampedUnits()). */
     unsigned units = 1;
 
     /** Second memory tier behind the per-unit L1s. Only the NodeCache
@@ -86,6 +88,14 @@ struct ChipConfig
     active() const
     {
         return units > 1 || l2 != L2Mode::Off;
+    }
+
+    /** The unit count a chip batch steps (and the cost model prices):
+     *  `units` clamped to 1..kMaxChipUnits. */
+    unsigned
+    clampedUnits() const
+    {
+        return std::clamp(units, 1u, kMaxChipUnits);
     }
 };
 
@@ -219,11 +229,6 @@ class BatchExecutor
     const ExecutorConfig &config() const { return cfg_; }
 
   private:
-    BatchResult runChipBatch(const BatchRayRef *refs, size_t n,
-                             const bvh::RtUnitConfig &rt_cfg) const;
-    BatchResult runChipKnnBatch(const KnnBatchRef *refs,
-                                size_t n) const;
-
     const bvh::Bvh4 &bvh_;
     const bvh::KnnIndex *knn_index_ = nullptr;
     ExecutorConfig cfg_;

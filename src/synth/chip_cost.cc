@@ -51,14 +51,6 @@ stackItemBits(unsigned width)
     return kWorkItemBits + uint64_t(width) * kLaneEntryBits;
 }
 
-/** Chip unit count with the executor's 1..kMaxChipUnits clamp, so the
- *  cost model prices exactly the hardware the engine would step. */
-unsigned
-clampedUnits(const sim::EngineConfig &cfg)
-{
-    return std::min(std::max(cfg.chip.units, 1u), sim::kMaxChipUnits);
-}
-
 } // namespace
 
 uint64_t
@@ -99,7 +91,7 @@ ChipCostModel::area(const sim::EngineConfig &cfg, double clock_ghz) const
     const Netlist n = Netlist::build(cfg.dp);
     r.lane = AreaModel(lib_).estimate(n, clock_ghz);
 
-    const unsigned units = clampedUnits(cfg);
+    const unsigned units = cfg.chip.clampedUnits();
     const SramLibrary &s = lib_.sram;
 
     // Datapath lanes: issue_width replicas per unit, units per chip.

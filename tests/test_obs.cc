@@ -81,6 +81,16 @@ slotsConserved(const RtUnitStats &u, unsigned issue_width)
         return ::testing::AssertionFailure()
                << "Issued bucket " << u.slots[obs::Slot::Issued]
                << " != datapath_beats " << u.datapath_beats;
+    if (u.datapathIdle() !=
+        u.slots.total() - u.slots[obs::Slot::Issued])
+        return ::testing::AssertionFailure()
+               << "datapathIdle() " << u.datapathIdle()
+               << " != non-Issued slots "
+               << u.slots.total() - u.slots[obs::Slot::Issued];
+    if (u.stallOnMemory() != u.slots.memoryStallSlots())
+        return ::testing::AssertionFailure()
+               << "stallOnMemory() " << u.stallOnMemory()
+               << " != memory-stall slots " << u.slots.memoryStallSlots();
     return ::testing::AssertionSuccess();
 }
 
@@ -108,20 +118,29 @@ TEST(Obs, SlotConservationAcrossKnobGrid)
         for (unsigned issue : {1u, 2u}) {
             for (unsigned mshrs : {0u, 8u}) {
                 for (bool cached : {false, true}) {
-                    sim::EngineConfig cfg = baseConfig();
-                    cfg.rt.packet.width = width;
-                    cfg.rt.ray_buffer_entries = 32 * width;
-                    cfg.rt.issue_width = issue;
-                    cfg.rt.mshrs = mshrs;
-                    if (cached) {
-                        cfg.rt.mem_backend = MemBackend::NodeCache;
-                        cfg.rt.cache = kProbeCache4KiB;
+                    for (unsigned compact : {0u, 4u}) {
+                        for (bool any_hit : {false, true}) {
+                            sim::EngineConfig cfg = baseConfig();
+                            cfg.rt.packet.width = width;
+                            cfg.rt.packet.compact_below = compact;
+                            cfg.rt.ray_buffer_entries = 32 * width;
+                            cfg.rt.issue_width = issue;
+                            cfg.rt.mshrs = mshrs;
+                            cfg.any_hit = any_hit;
+                            if (cached) {
+                                cfg.rt.mem_backend =
+                                    MemBackend::NodeCache;
+                                cfg.rt.cache = kProbeCache4KiB;
+                            }
+                            sim::EngineReport rep =
+                                sim::Engine(cfg).run(bvh, rays);
+                            EXPECT_TRUE(slotsConserved(rep.unit, issue))
+                                << "width " << width << " issue "
+                                << issue << " mshrs " << mshrs
+                                << " cached " << cached << " compact "
+                                << compact << " any_hit " << any_hit;
+                        }
                     }
-                    sim::EngineReport rep =
-                        sim::Engine(cfg).run(bvh, rays);
-                    EXPECT_TRUE(slotsConserved(rep.unit, issue))
-                        << "width " << width << " issue " << issue
-                        << " mshrs " << mshrs << " cached " << cached;
                 }
             }
         }
@@ -165,15 +184,27 @@ TEST(Obs, SlotConservationKnn)
         queries.push_back(
             {std::move(p.coords), 4, KnnMetric::Euclidean});
 
-    sim::EngineConfig cfg = baseConfig();
-    cfg.dp = core::kExtendedUnified;
-    cfg.rt.issue_width = 2;
-    cfg.rt.mshrs = 8;
-    cfg.rt.mem_backend = MemBackend::NodeCache;
-    cfg.rt.cache = kProbeCache4KiB;
-    sim::KnnReport rep = sim::Engine(cfg).runKnn(index, queries);
-    EXPECT_TRUE(slotsConserved(rep.unit, 2));
-    EXPECT_GT(rep.unit.slots.total(), 0u);
+    for (KnnMetric metric : {KnnMetric::Euclidean, KnnMetric::Cosine}) {
+        for (unsigned units : {1u, 4u}) {
+            for (KnnQuery &q : queries)
+                q.metric = metric;
+            sim::EngineConfig cfg = baseConfig();
+            cfg.dp = core::kExtendedUnified;
+            cfg.rt.issue_width = 2;
+            cfg.rt.mshrs = 8;
+            cfg.rt.mem_backend = MemBackend::NodeCache;
+            cfg.rt.cache = kProbeCache4KiB;
+            if (units > 1) {
+                cfg.chip.units = units;
+                cfg.chip.l2 = sim::L2Mode::Shared;
+                cfg.chip.l2cfg = kProbeL2_128KiB;
+            }
+            sim::KnnReport rep = sim::Engine(cfg).runKnn(index, queries);
+            EXPECT_TRUE(slotsConserved(rep.unit, 2))
+                << "metric " << int(metric) << " units " << units;
+            EXPECT_GT(rep.unit.slots.total(), 0u);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -240,9 +271,9 @@ expectStatsEqual(const RtUnitStats &a, const RtUnitStats &b)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.rays_completed, b.rays_completed);
     EXPECT_EQ(a.datapath_beats, b.datapath_beats);
-    EXPECT_EQ(a.datapath_idle, b.datapath_idle);
+    EXPECT_EQ(a.datapathIdle(), b.datapathIdle());
     EXPECT_EQ(a.mem_requests, b.mem_requests);
-    EXPECT_EQ(a.stall_on_memory, b.stall_on_memory);
+    EXPECT_EQ(a.stallOnMemory(), b.stallOnMemory());
     EXPECT_EQ(a.mem.hits, b.mem.hits);
     EXPECT_EQ(a.mem.misses, b.mem.misses);
     EXPECT_EQ(a.mshr.merges, b.mshr.merges);
@@ -362,6 +393,104 @@ TEST(Obs, StreamTraceBitIdenticalAcrossWorkers)
         EXPECT_EQ(rep.p50_job_latency, ref.p50_job_latency);
         EXPECT_EQ(rep.p99_job_latency, ref.p99_job_latency);
         EXPECT_EQ(rep.p999_job_latency, ref.p999_job_latency);
+    }
+}
+
+namespace
+{
+
+/** 64-bit FNV-1a over every field of every record, in order: any
+ *  reordering of events — even two events of one cycle — changes it. */
+uint64_t
+traceDigest(const std::vector<obs::TraceRecord> &trace)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const obs::TraceRecord &r : trace) {
+        mix(r.cycle);
+        mix(r.unit);
+        mix(uint64_t(r.event));
+        mix(r.a);
+        mix(r.b);
+    }
+    mix(trace.size());
+    return h;
+}
+
+} // namespace
+
+TEST(Obs, TraceOrderPinnedPerScheduler)
+{
+    // Hard-coded digests of the full event trace, captured before the
+    // three schedulers shared one cycle loop. The worker-invariance
+    // tests above compare a run against itself, so they cannot see a
+    // reordering of events within one cycle; these pins can.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = testRays(bvh, 48);
+    const auto traced = [] {
+        sim::EngineConfig cfg = baseConfig();
+        cfg.trace = true;
+        cfg.rt.mem_backend = MemBackend::NodeCache;
+        cfg.rt.cache = kProbeCache4KiB;
+        cfg.rt.issue_width = 2;
+        cfg.rt.mshrs = 4;
+        return cfg;
+    };
+
+    // Scalar: one ray per entry.
+    {
+        const sim::EngineReport rep =
+            sim::Engine(traced()).run(bvh, rays);
+        EXPECT_EQ(rep.trace.size(), 94271u);
+        EXPECT_EQ(traceDigest(rep.trace), 18148985470763942164ull);
+    }
+    // 8-wide packets with compaction and MSHR merges.
+    {
+        sim::EngineConfig cfg = traced();
+        cfg.rt.packet.width = 8;
+        cfg.rt.packet.compact_below = 4;
+        cfg.rt.ray_buffer_entries = 32 * 8;
+        cfg.rt.mshrs = 8;
+        const sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+        EXPECT_EQ(rep.trace.size(), 4216u);
+        EXPECT_EQ(traceDigest(rep.trace), 13235014016220140030ull);
+    }
+    // k-NN queries through the distance datapath.
+    {
+        const auto cloud = makePointCloud(600, 16, 8, 21);
+        const KnnIndex index = buildKnnIndex(cloud);
+        std::vector<KnnQuery> queries;
+        for (DataPoint &p : makePointCloud(32, 16, 8, 22))
+            queries.push_back(
+                {std::move(p.coords), 4, KnnMetric::Euclidean});
+        std::vector<KnnResult> out(queries.size());
+        std::vector<sim::KnnBatchRef> refs;
+        for (size_t i = 0; i < queries.size(); ++i)
+            refs.push_back({&queries[i], &out[i]});
+        sim::EngineConfig cfg = traced();
+        cfg.dp = core::kExtendedUnified;
+        cfg.rt.mshrs = 16;
+        const sim::ExecutorConfig ecfg =
+            sim::Engine(cfg).executorConfig();
+        const sim::BatchResult res =
+            sim::BatchExecutor(index, ecfg)
+                .executeKnnBatch(refs.data(), refs.size());
+        EXPECT_EQ(res.trace.size(), 214767u);
+        EXPECT_EQ(traceDigest(res.trace), 7205898669607062931ull);
+    }
+    // 4-unit chip over a shared L2 (bank events interleave with the
+    // units' events in lock-step order).
+    {
+        sim::EngineConfig cfg = tracedChipConfig(1, true);
+        cfg.chip.units = 4;
+        const sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+        EXPECT_EQ(rep.trace.size(), 11507u);
+        EXPECT_EQ(traceDigest(rep.trace), 1369870198423271869ull);
     }
 }
 

@@ -521,9 +521,9 @@ TEST(BatchApiPin, LoadedSingleUnitReproducesPr6BitForBit)
     EXPECT_EQ(rep.unit.cycles, 13143u);
     EXPECT_EQ(rep.unit.rays_completed, 304u);
     EXPECT_EQ(rep.unit.datapath_beats, 4793u);
-    EXPECT_EQ(rep.unit.datapath_idle, 21493u);
+    EXPECT_EQ(rep.unit.datapathIdle(), 21493u);
     EXPECT_EQ(rep.unit.mem_requests, 793u);
-    EXPECT_EQ(rep.unit.stall_on_memory, 20499u);
+    EXPECT_EQ(rep.unit.stallOnMemory(), 20499u);
     EXPECT_EQ(rep.unit.mem.hits, 609u);
     EXPECT_EQ(rep.unit.mem.misses, 1263u);
     EXPECT_EQ(rep.unit.mem.evictions, 943u);
@@ -562,9 +562,9 @@ TEST(BatchApiPin, SharedL2ChipReproducesPr6BitForBit)
     EXPECT_EQ(rep.unit.cycles, 44940u);
     EXPECT_EQ(rep.unit.rays_completed, 304u);
     EXPECT_EQ(rep.unit.datapath_beats, 4792u);
-    EXPECT_EQ(rep.unit.datapath_idle, 40148u);
+    EXPECT_EQ(rep.unit.datapathIdle(), 40148u);
     EXPECT_EQ(rep.unit.mem_requests, 1352u);
-    EXPECT_EQ(rep.unit.stall_on_memory, 36666u);
+    EXPECT_EQ(rep.unit.stallOnMemory(), 36666u);
     EXPECT_EQ(rep.unit.mem.hits, 949u);
     EXPECT_EQ(rep.unit.mem.misses, 2247u);
     EXPECT_EQ(rep.unit.mem.evictions, 1000u);
@@ -611,9 +611,9 @@ TEST(BatchApiPin, RenderPassesReproducesPr6BitForBit)
     EXPECT_EQ(rep.total_rays, 488u);
     EXPECT_EQ(rep.unit.cycles, 22771u);
     EXPECT_EQ(rep.unit.datapath_beats, 7637u);
-    EXPECT_EQ(rep.unit.datapath_idle, 15134u);
+    EXPECT_EQ(rep.unit.datapathIdle(), 15134u);
     EXPECT_EQ(rep.unit.mem_requests, 1719u);
-    EXPECT_EQ(rep.unit.stall_on_memory, 14501u);
+    EXPECT_EQ(rep.unit.stallOnMemory(), 14501u);
     EXPECT_EQ(rep.unit.mem.hits, 1718u);
     EXPECT_EQ(rep.unit.mem.misses, 2381u);
     EXPECT_EQ(rep.unit.mem.evictions, 1869u);
