@@ -113,17 +113,6 @@ struct CacheStats
         return *this;
     }
 
-    /** Counters accumulated since an `earlier` snapshot of the same
-     *  model. All fields are monotone, so the difference is the
-     *  activity of the interval — how a shared (warm-cache) model's
-     *  per-run stats are carved out of its cumulative totals. */
-    CacheStats
-    deltaSince(const CacheStats &earlier) const
-    {
-        return {hits - earlier.hits, misses - earlier.misses,
-                evictions - earlier.evictions};
-    }
-
     friend bool operator==(const CacheStats &,
                            const CacheStats &) = default;
 };

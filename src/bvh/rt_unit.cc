@@ -73,24 +73,33 @@ withoutPackets(RtUnitConfig cfg)
 
 } // namespace
 
+RtUnitConfig
+RtUnitConfig::normalized() const
+{
+    RtUnitConfig n = *this;
+    n.issue_width = std::clamp(issue_width, 1u, kMaxIssueWidth);
+    n.packet.width = std::clamp(packet.width, 1u, kMaxPacketWidth);
+    n.packet.compact_below = std::min(packet.compact_below, n.packet.width);
+    if (n.mem_requests_per_cycle == 0)
+        throw std::invalid_argument(
+            "RtUnitConfig: mem_requests_per_cycle must be at least 1 "
+            "(0 never issues a fetch)");
+    if (n.ray_buffer_entries == 0 && n.packet.width == 1)
+        throw std::invalid_argument(
+            "RtUnitConfig: ray_buffer_entries must be at least 1 "
+            "(0 leaves no slot to admit a ray or query)");
+    return n;
+}
+
 RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
-               const RtUnitConfig &cfg, MemoryModel *shared_mem)
-    : pipeline::Component("rt-unit"), bvh_(bvh), dp_(dp), cfg_(cfg),
+               const RtUnitConfig &cfg)
+    : pipeline::Component("rt-unit"), bvh_(bvh), dp_(dp),
+      cfg_(cfg.normalized()),
+      mem_(makeMemoryModel(cfg_.mem_backend, cfg_.mem_latency,
+                           cfg_.cache)),
       mshrs_(cfg.mshrs),
       tri_base_(uint64_t(bvh.nodes.size()) * kNodeStrideBytes)
 {
-    cfg_.packet.width =
-        std::clamp(cfg_.packet.width, 1u, kMaxPacketWidth);
-    cfg_.issue_width =
-        std::clamp(cfg_.issue_width, 1u, kMaxIssueWidth);
-    if (shared_mem) {
-        mem_ = shared_mem;
-        mem_is_shared_ = true;
-    } else {
-        owned_mem_ = makeMemoryModel(cfg_.mem_backend, cfg_.mem_latency,
-                                     cfg_.cache);
-        mem_ = owned_mem_.get();
-    }
     // Lane 0 is the caller's datapath; lanes 1..N-1 are private
     // replicas of the same configuration, one handshake each.
     lanes_.push_back(&dp_);
@@ -113,8 +122,6 @@ RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
         for (unsigned i = 0; i < slots; ++i)
             packets_.emplace_back(bvh_, cfg_.packet.width, mode,
                                   &stats_.packet);
-        cfg_.packet.compact_below =
-            std::min(cfg_.packet.compact_below, cfg_.packet.width);
         compact_hold_.assign(slots, 0);
     } else {
         entries_.resize(cfg_.ray_buffer_entries);
@@ -122,8 +129,8 @@ RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
 }
 
 RtUnit::RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
-               const RtUnitConfig &cfg, MemoryModel *shared_mem)
-    : RtUnit(index.bvh, dp, withoutPackets(cfg), shared_mem)
+               const RtUnitConfig &cfg)
+    : RtUnit(index.bvh, dp, withoutPackets(cfg))
 {
     if (!dp.config().extended)
         throw std::invalid_argument(
@@ -1029,18 +1036,13 @@ RtUnit::beginRun()
         q.clear();
     for (KnnLaneJob &j : knn_lane_)
         j = KnnLaneJob{};
-    if (mem_is_shared_)
-        mem_before_ = mem_->stats(); // warm: keep contents, report delta
-    else {
-        mem_before_ = {};
-        mem_->reset(); // cold cache per run: runs are reproducible
-    }
+    mem_->reset(); // cold cache per run: runs are reproducible
 }
 
 RtUnitStats
 RtUnit::endRun()
 {
-    stats_.mem = mem_->stats().deltaSince(mem_before_);
+    stats_.mem = mem_->stats();
     if (outstanding_ > 0)
         throw std::runtime_error("RtUnit::run: rays did not complete");
     return stats_;

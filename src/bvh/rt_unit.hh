@@ -93,6 +93,14 @@ struct RtUnitConfig
      *  bit-for-bit; wider packets share one node fetch across the
      *  member rays. Hit records are bit-identical either way. */
     PacketConfig packet;
+
+    /** The config a unit actually runs, and the one the cost model
+     *  prices: issue_width clamped to 1..kMaxIssueWidth, packet.width
+     *  to 1..kMaxPacketWidth and packet.compact_below to packet.width.
+     *  @throws std::invalid_argument on a knob that can only livelock:
+     *          mem_requests_per_cycle == 0, or ray_buffer_entries == 0
+     *          without packets (no slot could ever admit work). */
+    RtUnitConfig normalized() const;
 };
 
 /** Per-run statistics. */
@@ -217,14 +225,10 @@ struct RtUnitStats
 class RtUnit : public pipeline::Component
 {
   public:
-    /** @param shared_mem Optional non-owning MemoryModel override: the
-     *  unit uses it instead of constructing its own and does NOT reset
-     *  it at run() start, so a caller can carry cache contents across
-     *  units (the engine's warm-cache batch mode). CacheStats are
-     *  reported as the delta accumulated during the run. */
+    /** The unit runs cfg.normalized() (which may throw) over a
+     *  private MemoryModel that every run() starts cold. */
     RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
-           const RtUnitConfig &cfg = {},
-           MemoryModel *shared_mem = nullptr);
+           const RtUnitConfig &cfg = {});
 
     /**
      * k-NN mode: the unit walks `index` for submitKnn() queries
@@ -241,8 +245,7 @@ class RtUnit : public pipeline::Component
      *         missing otherwise).
      */
     RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
-           const RtUnitConfig &cfg = {},
-           MemoryModel *shared_mem = nullptr);
+           const RtUnitConfig &cfg = {});
 
     /** Queue a k-NN query (k-NN mode only); the result appears at
      *  knnResults()[query_id]. */
@@ -495,9 +498,7 @@ class RtUnit : public pipeline::Component
     const Bvh4 &bvh_;
     core::RayFlexDatapath &dp_;
     RtUnitConfig cfg_;
-    std::unique_ptr<MemoryModel> owned_mem_;
-    MemoryModel *mem_ = nullptr; ///< owned_mem_ or the shared override
-    bool mem_is_shared_ = false; ///< skip reset, report delta stats
+    std::unique_ptr<MemoryModel> mem_; ///< the unit's shared L1
     MshrFile mshrs_;        ///< outstanding-request file (may be off)
     uint64_t tri_base_ = 0; ///< triangle region base address
 
@@ -531,8 +532,6 @@ class RtUnit : public pipeline::Component
     /** Set by issueFetch when a full MSHR file refused a fetch this
      *  cycle; read (and reset) by the schedulers' idle classification. */
     bool mshr_refused_ = false;
-    /** L1 snapshot at beginRun (shared/warm models report deltas). */
-    CacheStats mem_before_;
 
     /** Per-lane issue bookkeeping, reset each publish(). A lane with
      *  no offer this cycle holds entry == kNoOffer. */

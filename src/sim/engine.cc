@@ -24,6 +24,7 @@
  */
 #include "sim/engine.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -132,29 +133,11 @@ Engine::executorConfig() const
 }
 
 void
-Engine::resetWarmCaches() const
-{
-    std::lock_guard<std::mutex> lk(pool_mutex_);
-    for (const std::unique_ptr<bvh::MemoryModel> &m : warm_mems_)
-        if (m)
-            m->reset();
-}
-
-void
 Engine::dispatchWorkers(unsigned n,
-                        const std::function<void(unsigned)> &job,
-                        bool serialize_inline) const
+                        const std::function<void(unsigned)> &job) const
 {
     if (n <= 1) {
-        if (serialize_inline) {
-            // Single-worker runs that share cross-run state (warm
-            // caches) must still serialize with any concurrent run()
-            // of this engine.
-            std::lock_guard<std::mutex> lk(pool_mutex_);
-            job(0);
-        } else {
-            job(0);
-        }
+        job(0);
         return;
     }
     // Concurrent run() calls from different threads serialize here;
@@ -164,6 +147,69 @@ Engine::dispatchWorkers(unsigned n,
     if (!pool_)
         pool_ = std::make_unique<Pool>(resolved_threads_);
     pool_->dispatch(n, job);
+}
+
+template <class Ref, class Report, class MakeRef, class Exec>
+BatchResult
+Engine::shard(size_t n, Report &report, MakeRef ref, Exec exec) const
+{
+    const std::vector<core::BatchRange> batches =
+        core::sliceBatches(n, cfg_.batch_size);
+    report.batches = batches.size();
+    const unsigned threads =
+        unsigned(std::min<size_t>(resolved_threads_, batches.size()));
+    report.threads_used = threads;
+
+    std::atomic<size_t> next_batch{0};
+    std::vector<BatchResult> tallies(threads);
+    std::vector<std::exception_ptr> errors(threads);
+
+    auto worker = [&](unsigned wid) {
+        try {
+            // Gather each claimed contiguous range into refs (reusing
+            // one buffer per worker): the executor then sees the same
+            // items with the same local ids in the same order as the
+            // pre-refactor inline loops, so schedules are bit-for-bit
+            // unchanged.
+            std::vector<Ref> refs;
+            for (size_t bi = next_batch.fetch_add(1);
+                 bi < batches.size(); bi = next_batch.fetch_add(1)) {
+                const core::BatchRange r = batches[bi];
+                refs.resize(r.size());
+                for (size_t i = r.begin; i < r.end; ++i)
+                    refs[i - r.begin] = ref(i);
+                const BatchResult br = exec(refs.data(), refs.size(), bi);
+                tallies[wid].unit.merge(br.unit);
+                tallies[wid].traversal.merge(br.traversal);
+                tallies[wid].knn.merge(br.knn);
+            }
+        } catch (...) {
+            errors[wid] = std::current_exception();
+        }
+    };
+
+    if (threads > 0) {
+        const auto t0 = std::chrono::steady_clock::now();
+        dispatchWorkers(threads, worker);
+        const auto t1 = std::chrono::steady_clock::now();
+        report.elapsed_seconds =
+            std::chrono::duration<double>(t1 - t0).count();
+    }
+
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+
+    // Merge worker tallies in worker-id order. Any order would give the
+    // same counters (sums and maxima commute); a fixed order just makes
+    // that property obvious.
+    BatchResult total;
+    for (const BatchResult &t : tallies) {
+        total.unit.merge(t.unit);
+        total.traversal.merge(t.traversal);
+        total.knn.merge(t.knn);
+    }
+    return total;
 }
 
 EngineReport
@@ -178,124 +224,56 @@ Engine::run(const bvh::Bvh4 &bvh, const std::vector<core::Ray> &rays,
             bool any_hit) const
 {
     const BatchExecutor exec(bvh, executorConfig());
-    if (exec.chipActive() && cfg_.warm_cache)
-        throw std::invalid_argument(
-            "Engine: warm_cache and chip mode are mutually exclusive "
-            "(chip batches run cold by construction)");
-
     EngineReport report;
     report.hits.resize(rays.size());
-
-    const std::vector<core::BatchRange> batches =
-        core::sliceBatches(rays.size(), cfg_.batch_size);
-    report.batches = batches.size();
-    if (batches.empty()) {
-        report.threads_used = 0;
-        return report;
-    }
-
-    unsigned threads = resolved_threads_;
-    if (size_t(threads) > batches.size())
-        threads = unsigned(batches.size());
-    report.threads_used = threads;
-
-    // Warm-cache mode: make sure every pool worker owns a persistent
-    // memory model before any worker needs it. See EngineConfig::
-    // warm_cache for the determinism tradeoff this opts into.
-    const bool warm =
-        cfg_.warm_cache && cfg_.model == ExecutionModel::CycleAccurate;
-    if (warm) {
-        std::lock_guard<std::mutex> lk(pool_mutex_);
-        if (warm_mems_.empty()) {
-            warm_mems_.resize(resolved_threads_);
-            for (auto &m : warm_mems_)
-                m = bvh::makeMemoryModel(cfg_.rt.mem_backend,
-                                         cfg_.rt.mem_latency,
-                                         cfg_.rt.cache);
-        }
-    }
-
-    std::atomic<size_t> next_batch{0};
-    std::vector<BatchResult> tallies(threads);
-    std::vector<std::exception_ptr> errors(threads);
 
     // Tracing keeps per-batch results in batch-index slots (disjoint
     // writes, no synchronization) so the post-join concatenation can
     // rebuild the sequential simulated timeline in batch order no
     // matter which worker ran which batch.
+    struct BatchTrace
+    {
+        size_t rays = 0;
+        uint64_t cycles = 0;
+        std::vector<obs::TraceRecord> records;
+    };
     const bool tracing =
         cfg_.trace && cfg_.model == ExecutionModel::CycleAccurate;
-    std::vector<std::vector<obs::TraceRecord>> batch_traces(
-        tracing ? batches.size() : 0);
-    std::vector<uint64_t> batch_cycles(tracing ? batches.size() : 0);
+    std::vector<BatchTrace> traces(
+        tracing ? core::sliceBatches(rays.size(), cfg_.batch_size).size()
+                : 0);
 
-    auto worker = [&](unsigned wid) {
-        try {
-            // Gather each claimed contiguous range into executor refs
-            // (reusing one buffer per worker): the executor then sees
-            // the same rays with the same local ids in the same order
-            // as the pre-refactor inline loops, so schedules are
-            // bit-for-bit unchanged.
-            std::vector<BatchRayRef> refs;
-            for (size_t bi = next_batch.fetch_add(1);
-                 bi < batches.size(); bi = next_batch.fetch_add(1)) {
-                const core::BatchRange r = batches[bi];
-                refs.resize(r.size());
-                for (size_t i = r.begin; i < r.end; ++i)
-                    refs[i - r.begin] = {&rays[i], &report.hits[i], 0};
-                BatchResult br = exec.executeBatch(
-                    refs.data(), refs.size(), any_hit,
-                    warm ? warm_mems_[wid].get() : nullptr);
-                tallies[wid].unit.merge(br.unit);
-                tallies[wid].traversal.merge(br.traversal);
-                if (tracing) {
-                    batch_traces[bi] = std::move(br.trace);
-                    batch_cycles[bi] = br.sim_cycles;
-                }
-            }
-        } catch (...) {
-            errors[wid] = std::current_exception();
-        }
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    dispatchWorkers(threads, worker, warm);
-    const auto t1 = std::chrono::steady_clock::now();
-    report.elapsed_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-
-    for (const std::exception_ptr &e : errors)
-        if (e)
-            std::rethrow_exception(e);
-
-    // Merge worker tallies in worker-id order. Any order would give the
-    // same counters (sums and maxima commute); a fixed order just makes
-    // that property obvious.
-    for (const BatchResult &t : tallies) {
-        report.unit.merge(t.unit);
-        report.traversal.merge(t.traversal);
-    }
+    const BatchResult total = shard<BatchRayRef>(
+        rays.size(), report,
+        [&](size_t i) {
+            return BatchRayRef{&rays[i], &report.hits[i], 0};
+        },
+        [&](const BatchRayRef *refs, size_t n, size_t bi) {
+            BatchResult br = exec.executeBatch(refs, n, any_hit);
+            if (tracing)
+                traces[bi] = {n, br.sim_cycles, std::move(br.trace)};
+            return br;
+        });
+    report.unit = total.unit;
+    report.traversal = total.traversal;
 
     // Concatenate per-batch traces in batch order onto one sequential
     // simulated timeline: batch k starts where batch k-1 ended. The
     // decomposition into batches and each batch's evolution are both
     // worker-independent, so the assembled trace is bit-identical at
     // every worker count.
-    if (tracing) {
-        uint64_t offset = 0;
-        for (size_t bi = 0; bi < batches.size(); ++bi) {
-            report.trace.push_back({offset, 0, obs::TraceEvent::BatchStart,
-                                    uint64_t(bi),
-                                    uint64_t(batches[bi].size())});
-            for (obs::TraceRecord rec : batch_traces[bi]) {
-                rec.cycle += offset;
-                report.trace.push_back(rec);
-            }
-            offset += batch_cycles[bi];
-            report.trace.push_back({offset, 0, obs::TraceEvent::BatchEnd,
-                                    uint64_t(bi),
-                                    uint64_t(batches[bi].size())});
+    uint64_t offset = 0;
+    for (size_t bi = 0; bi < traces.size(); ++bi) {
+        const BatchTrace &t = traces[bi];
+        report.trace.push_back({offset, 0, obs::TraceEvent::BatchStart,
+                                uint64_t(bi), uint64_t(t.rays)});
+        for (obs::TraceRecord rec : t.records) {
+            rec.cycle += offset;
+            report.trace.push_back(rec);
         }
+        offset += t.cycles;
+        report.trace.push_back({offset, 0, obs::TraceEvent::BatchEnd,
+                                uint64_t(bi), uint64_t(t.rays)});
     }
     return report;
 }
@@ -318,62 +296,20 @@ Engine::runKnn(const bvh::KnnIndex &index,
 
     KnnReport report;
     report.results.resize(queries.size());
-
-    const std::vector<core::BatchRange> batches =
-        core::sliceBatches(queries.size(), cfg_.batch_size);
-    report.batches = batches.size();
-    if (batches.empty()) {
-        report.threads_used = 0;
-        return report;
-    }
-
-    unsigned threads = resolved_threads_;
-    if (size_t(threads) > batches.size())
-        threads = unsigned(batches.size());
-    report.threads_used = threads;
-
-    std::atomic<size_t> next_batch{0};
-    std::vector<BatchResult> tallies(threads);
-    std::vector<std::exception_ptr> errors(threads);
-
-    auto worker = [&](unsigned wid) {
-        try {
-            std::vector<KnnBatchRef> refs;
-            for (size_t bi = next_batch.fetch_add(1);
-                 bi < batches.size(); bi = next_batch.fetch_add(1)) {
-                const core::BatchRange r = batches[bi];
-                refs.resize(r.size());
-                for (size_t i = r.begin; i < r.end; ++i)
-                    refs[i - r.begin] = {&queries[i],
-                                         &report.results[i]};
-                BatchResult br =
-                    exec.executeKnnBatch(refs.data(), refs.size());
-                tallies[wid].unit.merge(br.unit);
-                tallies[wid].knn.merge(br.knn);
-            }
-        } catch (...) {
-            errors[wid] = std::current_exception();
-        }
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    dispatchWorkers(threads, worker, false);
-    const auto t1 = std::chrono::steady_clock::now();
-    report.elapsed_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-
-    for (const std::exception_ptr &e : errors)
-        if (e)
-            std::rethrow_exception(e);
-
-    for (const BatchResult &t : tallies) {
-        report.unit.merge(t.unit);
-        report.knn.merge(t.knn);
-    }
+    const BatchResult total = shard<KnnBatchRef>(
+        queries.size(), report,
+        [&](size_t i) {
+            return KnnBatchRef{&queries[i], &report.results[i]};
+        },
+        [&](const KnnBatchRef *refs, size_t n, size_t) {
+            return exec.executeKnnBatch(refs, n);
+        });
+    report.unit = total.unit;
     // One traversal-counter field whatever the model: the cycle
     // model's counters live inside the unit stats.
-    if (cfg_.model == ExecutionModel::CycleAccurate)
-        report.knn = report.unit.knn;
+    report.knn = cfg_.model == ExecutionModel::CycleAccurate
+                     ? total.unit.knn
+                     : total.knn;
     return report;
 }
 

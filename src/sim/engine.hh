@@ -87,37 +87,14 @@ struct EngineConfig
      *  from `any_hit`. */
     bvh::RtUnitConfig rt;
 
-    /** Warm-cache batch mode (CycleAccurate model): each worker keeps
-     *  ONE persistent MemoryModel that serves every batch it claims,
-     *  across run() calls — so in a multi-pass scenario
-     *  (sim::renderPasses) the node cache warmed by the primary pass
-     *  serves the shadow/AO/bounce passes instead of every batch
-     *  starting cold.
-     *
-     *  Determinism implications (the reason this is opt-in): per-ray
-     *  HIT RECORDS remain bit-identical — memory timing never changes
-     *  intersection results. But the timing and cache counters now
-     *  depend on which worker ran which batch in what order, so they
-     *  are reproducible only at threads == 1 (a single worker claims
-     *  batches in submission order); at higher thread counts they
-     *  legitimately vary run to run. Cold mode (the default) keeps the
-     *  full bit-identical-at-every-worker-count contract.
-     *
-     *  No-op under the Functional model and stateless (FixedLatency)
-     *  backends. Warm state lives for the engine's lifetime; see
-     *  Engine::resetWarmCaches(). */
-    bool warm_cache = false;
-
     /** Multi-unit chip mode (CycleAccurate model). Inactive by default
-     *  (units == 1, L2 off): the engine then runs the single-unit path
-     *  bit-for-bit. When active, each batch is simulated by a chip of
-     *  `chip.units` lock-stepped RT units over the configured L2 tier;
-     *  hit records stay bit-identical to the scalar engine in every
-     *  chip configuration (memory timing never changes intersection
-     *  results). Mutually exclusive with warm_cache (chip batches run
-     *  cold by construction — run() throws std::invalid_argument on
-     *  the combination). Ignored by the Functional model, which has no
-     *  memory system to share. */
+     *  (units == 1, L2 off): each batch then runs on one unit. When
+     *  active, each batch is simulated by a chip of `chip.units`
+     *  lock-stepped RT units over the configured L2 tier; hit records
+     *  stay bit-identical to the scalar engine in every chip
+     *  configuration (memory timing never changes intersection
+     *  results). Ignored by the Functional model, which has no memory
+     *  system to share. */
     ChipConfig chip;
 
     /** Per-worker datapath configuration (CycleAccurate model). */
@@ -220,13 +197,11 @@ struct KnnReport
  * state in or out: every batch goes through a sim::BatchExecutor that
  * constructs its simulation units fresh, so one engine can serve many
  * scenes and workloads back to back and no run's results depend on a
- * previous run. Two pieces of host-side state DO persist across runs —
- * the worker pool (a pure performance cache) and, only when
- * EngineConfig::warm_cache opts in, the per-worker memory models — and
- * they are why the engine is not copyable. run() stays safe to call
- * from different threads, with concurrent runs serializing on the
- * shared pool (each caller still gets the report of exactly the rays
- * it passed).
+ * previous run. One piece of host-side state DOES persist across runs
+ * — the worker pool, a pure performance cache — and it is why the
+ * engine is not copyable. run() stays safe to call from different
+ * threads, with concurrent runs serializing on the shared pool (each
+ * caller still gets the report of exactly the rays it passed).
  */
 class Engine
 {
@@ -258,9 +233,8 @@ class Engine
      * independent of the worker count, a fresh unit (or chip) per
      * batch, commutative-associative stats merge, so results AND
      * merged counters are bit-identical at every thread count.
-     * EngineConfig::warm_cache is ignored (k-NN batches always run
-     * cold); `any_hit` does not apply; chip mode round-robins queries
-     * over the units.
+     * `any_hit` does not apply; chip mode round-robins queries over
+     * the units.
      * @throws std::invalid_argument under the CycleAccurate model when
      *         EngineConfig::dp is not an extended config (the distance
      *         opcodes are missing otherwise).
@@ -269,11 +243,6 @@ class Engine
                      const std::vector<bvh::KnnQuery> &queries) const;
 
     const EngineConfig &config() const { return cfg_; }
-
-    /** Drop all warm-cache contents and counters (EngineConfig::
-     *  warm_cache), returning every worker to a cold start. Safe to
-     *  call between runs; no-op when warm mode never ran. */
-    void resetWarmCaches() const;
 
     /** The executor-tier view of this engine's configuration (what a
      *  sim::BatchExecutor over the same knobs runs). */
@@ -286,12 +255,21 @@ class Engine
 
     /** Run job(0)..job(n-1) on the shared worker pool (inline on the
      *  calling thread when n == 1), serializing with other runs on
-     *  pool_mutex_; blocks until every worker returned. The inline
-     *  n == 1 path takes the mutex only when `serialize_inline` asks
-     *  for it (warm-cache runs share per-worker state). */
+     *  pool_mutex_; blocks until every worker returned. */
     void dispatchWorkers(unsigned n,
-                         const std::function<void(unsigned)> &job,
-                         bool serialize_inline) const;
+                         const std::function<void(unsigned)> &job) const;
+
+    /** The shard loop behind run() and runKnn(): slice `n` items into
+     *  batches of cfg.batch_size, let the workers claim batches off
+     *  one atomic counter, gather each batch's refs as ref(i) and
+     *  simulate it as exec(refs, count, batch_index), which returns
+     *  the batch's BatchResult. Fills the report's batches,
+     *  threads_used and elapsed_seconds, rethrows the first worker
+     *  error, and returns the per-worker tallies merged in worker-id
+     *  order. Defined (and instantiated) in engine.cc. */
+    template <class Ref, class Report, class MakeRef, class Exec>
+    BatchResult shard(size_t n, Report &report, MakeRef ref,
+                      Exec exec) const;
 
     EngineConfig cfg_;
     unsigned resolved_threads_ = 1; ///< cfg.threads with 0 resolved
@@ -300,11 +278,6 @@ class Engine
      *  worker, then reused by every later run(). */
     mutable std::unique_ptr<Pool> pool_;
     mutable std::mutex pool_mutex_; ///< guards creation and dispatch
-
-    /** Warm-cache mode: one persistent MemoryModel per pool worker
-     *  (index = worker id), lazily created on the first warm run and
-     *  carried across batches, runs and passes. */
-    mutable std::vector<std::unique_ptr<bvh::MemoryModel>> warm_mems_;
 };
 
 } // namespace rayflex::sim

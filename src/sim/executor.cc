@@ -1,21 +1,22 @@
 /**
  * @file
- * Executor-tier implementation: one batch through one fresh unit,
- * chip, or traverser.
+ * Executor-tier implementation: one batch through one fresh chip of
+ * lock-stepped units (CycleAccurate, one unit by default) or through
+ * the functional traverser.
  *
- * The submission order is the contract here. The single-unit path
- * submits ref k with local ray id k; the chip path sends ref k to
- * unit k % units with local id k / units (round-robin, so adjacent —
+ * The submission order is the contract here: ref k goes to unit
+ * k % units with local id k / units (round-robin, so adjacent —
  * typically coherent — rays land on different units and give a shared
- * L2 cross-unit merges to find). Callers that gather a contiguous
- * ray range into refs therefore reproduce the pre-refactor engine
- * schedules bit-for-bit: the unit sees the same rays with the same
- * ids in the same order.
+ * L2 cross-unit merges to find). At one unit that is ref k as local id
+ * k, so callers that gather a contiguous ray range into refs
+ * reproduce the pre-refactor engine schedules bit-for-bit: the unit
+ * sees the same rays with the same ids in the same order.
  */
 #include "sim/executor.hh"
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bvh/traversal.hh"
@@ -37,24 +38,19 @@ BatchExecutor::BatchExecutor(const bvh::KnnIndex &index,
 {
 }
 
-bool
-BatchExecutor::chipActive() const
-{
-    return cfg_.model == ExecutionModel::CycleAccurate &&
-           cfg_.chip.active();
-}
-
 namespace
 {
 
-/** The lock-step chip runner shared by ray and k-NN batches: build
- *  the units (`make` constructs one over a fresh datapath), attach
- *  the L2 tier and the trace sink, hand item k to unit k % units as
- *  local id k / units (`submit`), tick until every unit is done, then
- *  merge the stats and scatter the results (`gather`). */
-template <class Make, class Submit, class Gather>
+/** The one cycle-accurate runner, for ray and k-NN batches at every
+ *  unit count: build cfg.chip.clampedUnits() units over `source` (a
+ *  Bvh4 or a KnnIndex), each on a fresh datapath, attach the L2 tier
+ *  and the trace sink, hand item k to unit k % units as local id
+ *  k / units (`submit`), tick until every unit is done, then merge
+ *  the stats and scatter the results (`gather`). */
+template <class Source, class Submit, class Gather>
 BatchResult
-runChip(const ExecutorConfig &cfg, size_t n, Make make, Submit submit,
+runChip(const ExecutorConfig &cfg, const Source &source,
+        const bvh::RtUnitConfig &rt, size_t n, Submit submit,
         Gather gather)
 {
     const unsigned units = cfg.chip.clampedUnits();
@@ -65,7 +61,7 @@ runChip(const ExecutorConfig &cfg, size_t n, Make make, Submit submit,
     us.reserve(units);
     for (unsigned u = 0; u < units; ++u) {
         dps.push_back(std::make_unique<core::RayFlexDatapath>(cfg.dp));
-        us.push_back(make(*dps[u]));
+        us.push_back(std::make_unique<bvh::RtUnit>(source, *dps[u], rt));
     }
 
     std::unique_ptr<bvh::SharedL2> shared;
@@ -117,12 +113,16 @@ runChip(const ExecutorConfig &cfg, size_t n, Make make, Submit submit,
     }
     if (!all_done())
         throw std::runtime_error(
-            "Engine: chip batch exceeded max_cycles_per_batch");
+            "BatchExecutor: a batch of " + std::to_string(n) +
+            " items on " + std::to_string(units) +
+            " unit(s) did not finish within max_cycles_per_batch (" +
+            std::to_string(cfg.max_cycles_per_batch) + " cycles)");
 
     BatchResult res;
     for (auto &u : us)
         res.unit.merge(u->endRun());
-    res.unit.chip_cycles = ticks;
+    if (cfg.chip.active()) // RtUnitStats::chip_cycles: 0 off chip mode
+        res.unit.chip_cycles = ticks;
     res.sim_cycles = ticks;
     if (shared) {
         res.unit.l2_banks = shared->bankStats();
@@ -152,13 +152,9 @@ BatchExecutor::executeKnnBatch(const KnnBatchRef *refs, size_t n) const
             "BatchExecutor::executeKnnBatch: executor was not "
             "constructed over a KnnIndex");
 
-    if (chipActive())
+    if (cfg_.model == ExecutionModel::CycleAccurate)
         return runChip(
-            cfg_, n,
-            [&](core::RayFlexDatapath &dp) {
-                return std::make_unique<bvh::RtUnit>(*knn_index_, dp,
-                                                     cfg_.rt);
-            },
+            cfg_, *knn_index_, cfg_.rt, n,
             [&](bvh::RtUnit &u, size_t k, uint32_t id) {
                 u.submitKnn(*refs[k].query, id);
             },
@@ -167,84 +163,48 @@ BatchExecutor::executeKnnBatch(const KnnBatchRef *refs, size_t n) const
             });
 
     BatchResult res;
-    if (cfg_.model == ExecutionModel::CycleAccurate) {
-        core::RayFlexDatapath dp(cfg_.dp);
-        bvh::RtUnit unit(*knn_index_, dp, cfg_.rt);
-        obs::VectorTraceSink sink;
-        if (cfg_.trace)
-            unit.attachTrace(&sink, 0);
-        for (size_t k = 0; k < n; ++k)
-            unit.submitKnn(*refs[k].query, uint32_t(k));
-        res.unit = unit.run(cfg_.max_cycles_per_batch);
-        res.sim_cycles = res.unit.cycles;
-        for (size_t k = 0; k < n; ++k)
-            *refs[k].out = unit.knnResults()[k];
-        res.trace = sink.take();
-    } else {
-        bvh::KnnTraversal trav(*knn_index_);
-        for (size_t k = 0; k < n; ++k)
-            *refs[k].out = trav.search(*refs[k].query);
-        res.knn = trav.stats();
-        // No clock in the Functional model; charge the idealized
-        // one-distance-beat-per-cycle datapath occupancy.
-        res.sim_cycles = res.knn.distance_beats;
-    }
+    bvh::KnnTraversal trav(*knn_index_);
+    for (size_t k = 0; k < n; ++k)
+        *refs[k].out = trav.search(*refs[k].query);
+    res.knn = trav.stats();
+    // No clock in the Functional model; charge the idealized
+    // one-distance-beat-per-cycle datapath occupancy.
+    res.sim_cycles = res.knn.distance_beats;
     return res;
 }
 
 BatchResult
 BatchExecutor::executeBatch(const BatchRayRef *refs, size_t n,
-                            bool any_hit,
-                            bvh::MemoryModel *warm) const
+                            bool any_hit) const
 {
-    bvh::RtUnitConfig rt_cfg = cfg_.rt;
-    rt_cfg.mode = any_hit ? bvh::TraversalMode::Any
+    if (cfg_.model == ExecutionModel::CycleAccurate) {
+        bvh::RtUnitConfig rt = cfg_.rt;
+        rt.mode = any_hit ? bvh::TraversalMode::Any
                           : bvh::TraversalMode::Closest;
-
-    if (chipActive())
         return runChip(
-            cfg_, n,
-            [&](core::RayFlexDatapath &dp) {
-                return std::make_unique<bvh::RtUnit>(bvh_, dp, rt_cfg);
-            },
+            cfg_, bvh_, rt, n,
             [&](bvh::RtUnit &u, size_t k, uint32_t id) {
                 u.submit(*refs[k].ray, id, refs[k].job);
             },
             [&](const bvh::RtUnit &u, size_t k, size_t id) {
                 *refs[k].out = u.results()[id];
             });
+    }
 
     BatchResult res;
-    if (cfg_.model == ExecutionModel::CycleAccurate) {
-        core::RayFlexDatapath dp(cfg_.dp);
-        bvh::RtUnit unit(bvh_, dp, rt_cfg, warm);
-        obs::VectorTraceSink sink;
-        if (cfg_.trace)
-            unit.attachTrace(&sink, 0);
+    bvh::Traverser trav(bvh_);
+    if (any_hit) {
         for (size_t k = 0; k < n; ++k)
-            unit.submit(*refs[k].ray, uint32_t(k), refs[k].job);
-        res.unit = unit.run(cfg_.max_cycles_per_batch);
-        res.sim_cycles = res.unit.cycles;
-        for (size_t k = 0; k < n; ++k)
-            *refs[k].out = unit.results()[k];
-        res.trace = sink.take();
+            *refs[k].out = bvh::HitRecord{trav.anyHit(*refs[k].ray)};
     } else {
-        bvh::Traverser trav(bvh_);
-        if (any_hit) {
-            for (size_t k = 0; k < n; ++k)
-                *refs[k].out =
-                    bvh::HitRecord{trav.anyHit(*refs[k].ray)};
-        } else {
-            for (size_t k = 0; k < n; ++k)
-                *refs[k].out = trav.closestHit(*refs[k].ray);
-        }
-        res.traversal = trav.stats();
-        // The Functional model has no clock; charge the streaming
-        // timeline its idealized datapath occupancy of one
-        // intersection op per cycle.
-        res.sim_cycles =
-            res.traversal.box_ops + res.traversal.tri_ops;
+        for (size_t k = 0; k < n; ++k)
+            *refs[k].out = trav.closestHit(*refs[k].ray);
     }
+    res.traversal = trav.stats();
+    // The Functional model has no clock; charge the streaming
+    // timeline its idealized datapath occupancy of one intersection
+    // op per cycle.
+    res.sim_cycles = res.traversal.box_ops + res.traversal.tri_ops;
     return res;
 }
 

@@ -10,8 +10,8 @@
  *
  * The executor is the narrow seam everything above shares: it knows
  * how to simulate ONE batch — a flat array of ray references — on a
- * freshly constructed unit (or chip of lock-stepped units, or the
- * functional traverser) and report the batch's stats plus its
+ * freshly constructed chip of lock-stepped units (one unit by default)
+ * or on the functional traverser, and report the batch's stats plus its
  * simulated-cycle cost. It holds no queues, no threads and no
  * cross-batch state, which is what makes every layer above it free to
  * regroup rays (sharded Engine batches, cross-job packed streaming
@@ -62,12 +62,13 @@ enum class L2Mode : uint8_t {
 /** Most units a chip batch may step in lock-step. */
 inline constexpr unsigned kMaxChipUnits = 16;
 
-/** Multi-unit chip mode (CycleAccurate model). Each batch is run by
+/** The chip every CycleAccurate batch runs on. Each batch is run by
  *  `units` RT units stepping in deterministic lock-step under one
- *  pipeline::Simulator: ray i of the batch goes to unit i % units.
+ *  pipeline::Simulator: item i of the batch goes to unit i % units.
  *  The chip is freshly constructed per batch, so sharing is confined
  *  within a batch and the engine's bit-identical-at-every-worker-count
- *  contract holds for hits, timing and every L2 counter. */
+ *  contract holds for hits, timing and every L2 counter. The defaults
+ *  (one unit, no L2) are the single-unit model. */
 struct ChipConfig
 {
     /** RT units per chip, clamped to 1..kMaxChipUnits
@@ -82,8 +83,9 @@ struct ChipConfig
     /** Geometry and timing of the L2 tier (Shared and Private). */
     bvh::L2Config l2cfg;
 
-    /** True when this config changes anything over the single-unit
-     *  engine path (the defaults leave chip mode off). */
+    /** True when this config changes anything over a single unit
+     *  (the defaults leave chip mode off); only then does a batch
+     *  report BatchResult::unit.chip_cycles. */
     bool
     active() const
     {
@@ -133,7 +135,7 @@ struct BatchResult
      *  elsewhere — CycleAccurate k-NN counters live in unit.knn). */
     bvh::KnnStats knn;
     /** Simulated cycles this batch occupied the executor: lock-step
-     *  chip ticks in chip mode, unit cycles single-unit, and the
+     *  chip ticks under CycleAccurate (a single unit's cycles), and the
      *  idealized one-op-per-cycle datapath ops (box + triangle) under
      *  the Functional model. The scheduler tier's simulated timeline
      *  charges each batch exactly this. */
@@ -193,31 +195,24 @@ class BatchExecutor
      *  kind of batch only. The index must outlive the executor. */
     BatchExecutor(const bvh::KnnIndex &index, const ExecutorConfig &cfg);
 
-    /** True when the config routes batches through the lock-step chip
-     *  path (CycleAccurate with an active ChipConfig). */
-    bool chipActive() const;
-
     /**
      * Simulate `n` rays as one batch. Hit records are scattered
      * through the refs' `out` pointers; any-hit batches fill only the
-     * `hit` flag (the usual reduced-record contract).
+     * `hit` flag (the usual reduced-record contract). CycleAccurate
+     * batches run on a fresh chip of cfg.chip.clampedUnits() units
+     * (one by default), round-robin: ray k goes to unit k % units.
      *
-     * @param warm Optional persistent MemoryModel for the warm-cache
-     *        batch mode (single-unit CycleAccurate only): the unit
-     *        serves fetches from it instead of a cold private model.
      * @throws std::runtime_error when the batch exceeds
      *         max_cycles_per_batch (CycleAccurate model).
      */
     BatchResult executeBatch(const BatchRayRef *refs, size_t n,
-                             bool any_hit,
-                             bvh::MemoryModel *warm = nullptr) const;
+                             bool any_hit) const;
 
     /**
      * Simulate `n` k-NN queries as one batch (k-NN executors only).
-     * Results scatter through the refs' `out` pointers. Batches always
-     * run cold — there is no warm-cache path for k-NN. Chip mode
-     * round-robins queries over the units exactly as the ray path
-     * round-robins rays.
+     * Results scatter through the refs' `out` pointers. Queries go
+     * through the same chip runner as rays, round-robin over the
+     * units.
      * @throws std::logic_error when this executor was not constructed
      *         over a KnnIndex.
      * @throws std::runtime_error when the batch exceeds

@@ -139,11 +139,6 @@ StreamingService::StreamingService(const Engine &engine,
                                    const StreamConfig &cfg)
     : engine_(engine), cfg_(cfg), queue_(cfg.queue_capacity)
 {
-    if (engine_.config().warm_cache)
-        throw std::invalid_argument(
-            "StreamingService: warm_cache engines are not streamable "
-            "(persistent per-worker cache state breaks the "
-            "bit-identical-at-every-worker-count contract)");
     // The collector drains the bounded queue into the job table as
     // submissions arrive, so back-pressure engages only when
     // submitters outrun the drain by queue_capacity jobs.
@@ -278,8 +273,7 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
                                     std::memory_order_relaxed);
                     }
                 }
-            },
-            false);
+            });
         channel.close();
         filler.join();
         if (fill_error)

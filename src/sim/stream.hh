@@ -338,10 +338,8 @@ struct StreamReport
  * executes them on the engine's worker pool — batch fill
  * double-buffered against simulation — returning the per-job and
  * aggregate report. The engine's threads/model/rt/dp/chip knobs apply;
- * EngineConfig::warm_cache is rejected (persistent per-worker cache
- * state would break the bit-identical-at-every-worker-count
- * contract); EngineConfig::batch_size and any_hit are ignored,
- * superseded by StreamConfig::batch_size and the per-job modes.
+ * EngineConfig::batch_size and any_hit are ignored, superseded by
+ * StreamConfig::batch_size and the per-job modes.
  *
  * One service instance is one run: submit() after finish() throws.
  */

@@ -92,6 +92,7 @@ ChipCostModel::area(const sim::EngineConfig &cfg, double clock_ghz) const
     r.lane = AreaModel(lib_).estimate(n, clock_ghz);
 
     const unsigned units = cfg.chip.clampedUnits();
+    const bvh::RtUnitConfig rt = cfg.rt.normalized();
     const SramLibrary &s = lib_.sram;
 
     // Datapath lanes: issue_width replicas per unit, units per chip.
@@ -101,30 +102,30 @@ ChipCostModel::area(const sim::EngineConfig &cfg, double clock_ghz) const
         ComponentCost c;
         c.name = "datapath";
         c.area_um2 =
-            r.lane.total() * (double(cfg.rt.issue_width) * double(units));
+            r.lane.total() * (double(rt.issue_width) * double(units));
         r.components.push_back(std::move(c));
     }
 
-    if (cfg.rt.mem_backend == bvh::MemBackend::NodeCache) {
+    if (rt.mem_backend == bvh::MemBackend::NodeCache) {
         ComponentCost c;
         c.name = "node_cache";
-        c.sram_bits = nodeCacheBits(cfg.rt.cache) * units;
+        c.sram_bits = nodeCacheBits(rt.cache) * units;
         c.area_um2 = sramAreaUm2(c.sram_bits, s);
         r.components.push_back(std::move(c));
     }
 
-    if (cfg.rt.mshrs > 0) {
+    if (rt.mshrs > 0) {
         ComponentCost c;
         c.name = "mshr_file";
-        c.sram_bits = mshrFileBits(cfg.rt.mshrs) * units;
+        c.sram_bits = mshrFileBits(rt.mshrs) * units;
         c.area_um2 = sramAreaUm2(c.sram_bits, s);
         r.components.push_back(std::move(c));
     }
 
-    if (cfg.rt.packet.width > 1) {
+    if (rt.packet.width > 1) {
         ComponentCost c;
         c.name = "packet_state";
-        c.sram_bits = packetStateBits(cfg.rt) * units;
+        c.sram_bits = packetStateBits(rt) * units;
         c.area_um2 = sramAreaUm2(c.sram_bits, s);
         r.components.push_back(std::move(c));
     }
@@ -153,6 +154,7 @@ ChipCostModel::power(const sim::EngineConfig &cfg,
 
     const ChipAreaReport a = area(cfg, clock_ghz);
     const Netlist n = Netlist::build(cfg.dp);
+    const bvh::RtUnitConfig rt = cfg.rt.normalized();
 
     // Wall-clock base: chip ticks when chip mode stepped the units in
     // lock-step, per-unit cycles otherwise. Zero observed time means
@@ -180,7 +182,7 @@ ChipCostModel::power(const sim::EngineConfig &cfg,
         const BeatEnergyPj beat =
             datapathBeatEnergyPj(n, stats.beats_by_op, e);
         const double reg_pj = double(stats.cycles) *
-                              double(cfg.rt.issue_width) *
+                              double(rt.issue_width) *
                               double(n.totalSequentialBits()) *
                               e.flop_bit;
         r.datapath.fu_dynamic = beat.fu_pj * scale;
@@ -205,16 +207,16 @@ ChipCostModel::power(const sim::EngineConfig &cfg,
         uint64_t row_bits = 0;
         if (c.name == "node_cache") {
             accesses = stats.mem.hits + stats.mem.misses;
-            row_bits = uint64_t(cfg.rt.cache.line_bytes) * 8;
+            row_bits = uint64_t(rt.cache.line_bytes) * 8;
         } else if (c.name == "mshr_file") {
             // Every allocation or merge broadcasts the line address
             // across the CAM: the whole file is the accessed row.
             accesses = stats.mshr.allocations + stats.mshr.merges;
-            row_bits = mshrFileBits(cfg.rt.mshrs);
+            row_bits = mshrFileBits(rt.mshrs);
         } else if (c.name == "packet_state") {
             // One pop plus (amortized) one push per shared node visit.
             accesses = 2 * stats.packet.node_visits;
-            row_bits = stackItemBits(cfg.rt.packet.width);
+            row_bits = stackItemBits(rt.packet.width);
         } else if (c.name == "shared_l2") {
             const bvh::L2Stats l2 = stats.l2Total();
             accesses = l2.hits + l2.misses;

@@ -28,6 +28,10 @@
  * the config never instantiated contributes nothing at all (the
  * component is absent from the report).
  *
+ * The RT-unit knobs are priced as the simulator runs them:
+ * bvh::RtUnitConfig::normalized() clamps issue_width and packet.width
+ * for both, and rejects the configs no unit could run.
+ *
  * Two invariants are regression-pinned (tests/test_synth.cc):
  *
  *  1. Knobs-off compatibility: with a default EngineConfig (issue
@@ -142,7 +146,8 @@ class ChipCostModel
         : lib_(lib)
     {}
 
-    /** Area of the chip a config describes, at a clock target. */
+    /** Area of the chip a config describes, at a clock target.
+     *  @throws std::invalid_argument when cfg.rt.normalized() does. */
     ChipAreaReport area(const sim::EngineConfig &cfg,
                         double clock_ghz) const;
 

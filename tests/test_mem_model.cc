@@ -382,70 +382,6 @@ TEST(NodeCache, CachedHitsMatchFixedLatencyHits)
     EXPECT_LT(rep.unit.cycles, ref.unit.cycles);
 }
 
-TEST(WarmCache, CarriesContentsAcrossRunsAtOneThread)
-{
-    // EngineConfig::warm_cache: each worker's memory model persists
-    // across batches and run() calls. At threads == 1 the batch order
-    // is the submission order, so warm runs are fully deterministic:
-    // the second run of the same workload starts with a warmed cache
-    // and must see a strictly higher hit-rate, and resetWarmCaches()
-    // must restore the cold-start counters exactly.
-    Bvh4 bvh = testScene();
-    std::vector<Ray> rays = testRays(bvh, 32);
-
-    sim::EngineConfig cfg;
-    cfg.threads = 1;
-    cfg.batch_size = 64;
-    cfg.warm_cache = true;
-    cfg.rt.mem_backend = MemBackend::NodeCache;
-    cfg.rt.cache.sets = 256; // large enough to hold the working set
-    cfg.rt.cache.ways = 4;
-
-    sim::Engine engine(cfg);
-    sim::EngineReport first = engine.run(bvh, rays);
-    sim::EngineReport second = engine.run(bvh, rays);
-    ASSERT_GT(first.unit.mem.misses, 0u);
-    EXPECT_GT(second.unit.mem.hitRate(), first.unit.mem.hitRate());
-    EXPECT_LT(second.unit.cycles, first.unit.cycles);
-
-    // Warm timing never changes intersection results.
-    for (size_t i = 0; i < rays.size(); ++i)
-        ASSERT_TRUE(bitIdentical(second.hits[i], first.hits[i])) << i;
-
-    // A reset returns the engine to the cold-start trajectory.
-    engine.resetWarmCaches();
-    sim::EngineReport again = engine.run(bvh, rays);
-    EXPECT_EQ(again.unit, first.unit);
-}
-
-TEST(WarmCache, HitsMatchColdModeAtEveryThreadCount)
-{
-    // The warm-cache determinism contract is reduced, not void: timing
-    // and cache counters depend on the batch-to-worker schedule at
-    // threads > 1, but per-ray hit records stay bit-identical to a
-    // cold run at every thread count.
-    Bvh4 bvh = testScene();
-    std::vector<Ray> rays = testRays(bvh, 48);
-
-    sim::EngineConfig cold;
-    cold.threads = 1;
-    cold.batch_size = 48;
-    cold.rt.mem_backend = MemBackend::NodeCache;
-    sim::EngineReport ref = sim::Engine(cold).run(bvh, rays);
-
-    for (unsigned threads : {1u, 4u}) {
-        sim::EngineConfig warm = cold;
-        warm.threads = threads;
-        warm.warm_cache = true;
-        sim::Engine engine(warm);
-        engine.run(bvh, rays); // warm the worker caches
-        sim::EngineReport rep = engine.run(bvh, rays);
-        for (size_t i = 0; i < rays.size(); ++i)
-            ASSERT_TRUE(bitIdentical(rep.hits[i], ref.hits[i]))
-                << "ray " << i << " at " << threads << " threads";
-    }
-}
-
 TEST(NodeCache, HitRateFallsAsSceneOutgrowsCache)
 {
     // The acceptance sweep: a fixed 4 KiB cache against terrain BVHs of

@@ -7,8 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
+#include "bvh/knn.hh"
+#include "bvh/rt_unit.hh"
 #include "bvh/scene.hh"
 #include "bvh/traversal.hh"
 #include "core/stages.hh"
@@ -311,6 +314,29 @@ TEST(SimEngine, AnyHitMode)
     EXPECT_GT(cyc.unit.cycles, 0u);
 }
 
+/** Runs `run`, which must throw the batch runner's hang error: a
+ *  std::runtime_error naming max_cycles_per_batch, the unit count and
+ *  the batch's item count. */
+template <class Run>
+void
+expectBatchHang(Run run, unsigned units, size_t items)
+{
+    try {
+        run();
+        ADD_FAILURE() << "no exception for a hung batch";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("max_cycles_per_batch"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(std::to_string(units) + " unit"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(std::to_string(items) + " items"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
 TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
 {
     // A cycle budget no batch can meet: the std::runtime_error thrown
@@ -326,10 +352,78 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
     cfg.batch_size = 8; // 4 batches for 32 rays: all 4 workers draft
     cfg.max_cycles_per_batch = 10;
     sim::Engine engine(cfg);
-    EXPECT_THROW(engine.run(bvh, rays), std::runtime_error);
+    expectBatchHang([&] { engine.run(bvh, rays); }, 1, 8);
     // The persistent worker pool survives a failed run and serves the
     // next one.
-    EXPECT_THROW(engine.run(bvh, rays), std::runtime_error);
+    expectBatchHang([&] { engine.run(bvh, rays); }, 1, 8);
+
+    // Every cycle-accurate batch goes through the same runner, so a
+    // 4-unit shared-L2 chip and a k-NN batch hang the same way.
+    sim::EngineConfig chip = cfg;
+    chip.rt.mem_backend = MemBackend::NodeCache;
+    chip.chip.units = 4;
+    chip.chip.l2 = sim::L2Mode::Shared;
+    expectBatchHang([&] { sim::Engine(chip).run(bvh, rays); }, 4, 8);
+
+    const KnnIndex index = buildKnnIndex(makePointCloud(200, 8, 4, 5));
+    std::vector<KnnQuery> queries;
+    for (DataPoint &p : makePointCloud(16, 8, 4, 6))
+        queries.push_back({std::move(p.coords), 4, KnnMetric::Euclidean});
+    sim::EngineConfig knn = cfg;
+    knn.dp = core::kExtendedUnified;
+    expectBatchHang([&] { sim::Engine(knn).runKnn(index, queries); }, 1,
+                    8);
+}
+
+TEST(SimEngine, LivelockingKnobsFailAtConstruction)
+{
+    // A scalar unit with no ray-buffer entries, or one that may issue
+    // no fetch per cycle, could only spin until max_cycles_per_batch.
+    // RtUnitConfig::normalized() rejects both when the unit is built,
+    // naming the knob, for rays and k-NN queries alike.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = testRays(bvh, 0);
+    const KnnIndex index = buildKnnIndex(makePointCloud(50, 8, 2, 5));
+    core::RayFlexDatapath dp(core::kExtendedUnified);
+
+    for (const char *knob :
+         {"ray_buffer_entries", "mem_requests_per_cycle"}) {
+        RtUnitConfig rt;
+        (std::string(knob) == "ray_buffer_entries"
+             ? rt.ray_buffer_entries
+             : rt.mem_requests_per_cycle) = 0;
+        try {
+            RtUnit unit(bvh, dp, rt);
+            ADD_FAILURE() << knob << " = 0 was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(knob),
+                      std::string::npos)
+                << e.what();
+        }
+        // k-NN strips packets, so even a packet config cannot give a
+        // zero-entry k-NN unit a slot.
+        RtUnitConfig knn_rt = rt;
+        knn_rt.packet.width = 8;
+        EXPECT_THROW(RtUnit(index, dp, knn_rt), std::invalid_argument)
+            << knob;
+
+        sim::EngineConfig cfg;
+        cfg.threads = 2;
+        cfg.batch_size = 64;
+        cfg.rt = rt;
+        EXPECT_THROW(sim::Engine(cfg).run(bvh, rays),
+                     std::invalid_argument)
+            << knob;
+    }
+
+    // A packet slot stands in for `width` entries and always exists,
+    // so a zero-entry packet unit still runs.
+    sim::EngineConfig packets;
+    packets.threads = 1;
+    packets.rt.packet.width = 4;
+    packets.rt.ray_buffer_entries = 0;
+    EXPECT_EQ(sim::Engine(packets).run(bvh, rays).unit.rays_completed,
+              rays.size());
 }
 
 TEST(SimEngine, CycleAccurateAnyHitMatchesFunctionalOn10kShadowRays)

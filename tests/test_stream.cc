@@ -354,13 +354,6 @@ TEST(StreamingService, ApiMisuseThrows)
         EXPECT_THROW(svc.submit({1, 0, false, {}}), std::logic_error);
         EXPECT_THROW(svc.finish(bvh), std::logic_error);
     }
-    { // warm caches would break the worker-count contract
-        sim::EngineConfig warm = packetEngineConfig(2);
-        warm.warm_cache = true;
-        sim::Engine we(warm);
-        EXPECT_THROW(sim::StreamingService svc(we),
-                     std::invalid_argument);
-    }
 }
 
 // ---------------------------------------------------------------------

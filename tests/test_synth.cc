@@ -608,6 +608,44 @@ TEST(ChipCost, IdleComponentsDrawLeakageOnly)
     EXPECT_GT(p.leakage_w(), 0.0);
 }
 
+TEST(ChipCost, PricesTheWidthsTheUnitRuns)
+{
+    // The cost model prices RtUnitConfig::normalized(), the config the
+    // simulator runs: issue width 0 runs one lane and 32 runs eight,
+    // and a 64-wide packet runs as a 16-wide one.
+    const ChipCostModel cost;
+    rayflex::bvh::RtUnitStats stats; // activity on every width term
+    stats.cycles = 1000;
+    stats.beats_by_op[0] = 600;
+    stats.packet.node_visits = 50;
+    const auto expectSamePrice = [&](const rayflex::sim::EngineConfig &a,
+                                     const rayflex::sim::EngineConfig &b) {
+        EXPECT_EQ(cost.area(a, 1.0).total_um2(),
+                  cost.area(b, 1.0).total_um2());
+        const ChipPowerReport pa = cost.power(a, stats, 1.0);
+        const ChipPowerReport pb = cost.power(b, stats, 1.0);
+        EXPECT_EQ(pa.dynamic_w(), pb.dynamic_w());
+        EXPECT_EQ(pa.leakage_w(), pb.leakage_w());
+    };
+
+    rayflex::sim::EngineConfig raw, clamped;
+    raw.rt.issue_width = 0;
+    clamped.rt.issue_width = 1;
+    expectSamePrice(raw, clamped);
+    raw.rt.issue_width = 32;
+    clamped.rt.issue_width = rayflex::bvh::kMaxIssueWidth;
+    expectSamePrice(raw, clamped);
+    EXPECT_GT(cost.area(clamped, 1.0).total_um2(),
+              cost.area({}, 1.0).total_um2());
+
+    raw = {};
+    clamped = {};
+    raw.rt.ray_buffer_entries = clamped.rt.ray_buffer_entries = 256;
+    raw.rt.packet.width = 64;
+    clamped.rt.packet.width = rayflex::bvh::kMaxPacketWidth;
+    expectSamePrice(raw, clamped);
+}
+
 TEST(ChipCost, BeatAttributionConservesAgainstSlotAccounting)
 {
     // The dynamic-power stimulus must conserve: every issued slot is
