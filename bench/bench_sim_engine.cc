@@ -35,6 +35,7 @@
 #include <map>
 
 #include "bvh/scene.hh"
+#include "core/datapath.hh"
 #include "core/raygen.hh"
 #include "sim/passes.hh"
 #include "sim/stream.hh"
@@ -136,7 +137,7 @@ BM_SingleUnitBaseline(benchmark::State &state)
     auto rays = benchRays(24);
     for (auto _ : state) {
         RayFlexDatapath dp(kBaselineUnified);
-        RtUnit unit(bvh, dp);
+        RtUnit unit(bvh, dp.config());
         for (uint32_t i = 0; i < rays.size(); ++i)
             unit.submit(rays[i], i);
         benchmark::DoNotOptimize(unit.run().cycles);

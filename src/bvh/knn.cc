@@ -57,28 +57,37 @@ knnBeatsPerJob(size_t dims, KnnMetric metric)
     return (dims + width - 1) / width;
 }
 
-std::vector<DatapathInput>
-knnJobBeats(const float *query, const float *candidate, size_t dims,
-            KnnMetric metric, uint64_t tag)
+DatapathInput
+knnJobBeat(const float *query, const float *candidate, size_t dims,
+           KnnMetric metric, uint64_t tag, size_t beat)
 {
     const bool cosine = metric == KnnMetric::Cosine;
     const size_t width =
         cosine ? core::kCosineWidth : core::kEuclideanWidth;
-    std::vector<DatapathInput> beats;
-    beats.reserve(knnBeatsPerJob(dims, metric));
-    for (size_t base = 0; base < dims; base += width) {
-        DatapathInput in;
-        in.op = cosine ? Opcode::Cosine : Opcode::Euclidean;
-        in.tag = tag;
-        in.mask = 0;
-        for (size_t i = 0; i < width && base + i < dims; ++i) {
-            in.vec_a[i] = toBits(query[base + i]);
-            in.vec_b[i] = toBits(candidate[base + i]);
-            in.mask |= uint16_t(1u << i);
-        }
-        in.reset_accumulator = base + width >= dims;
-        beats.push_back(in);
+    const size_t base = beat * width;
+    DatapathInput in;
+    in.op = cosine ? Opcode::Cosine : Opcode::Euclidean;
+    in.tag = tag;
+    in.mask = 0;
+    for (size_t i = 0; i < width && base + i < dims; ++i) {
+        in.vec_a[i] = toBits(query[base + i]);
+        in.vec_b[i] = toBits(candidate[base + i]);
+        in.mask |= uint16_t(1u << i);
     }
+    in.reset_accumulator = base + width >= dims;
+    return in;
+}
+
+std::vector<DatapathInput>
+knnJobBeats(const float *query, const float *candidate, size_t dims,
+            KnnMetric metric, uint64_t tag)
+{
+    const size_t n = knnBeatsPerJob(dims, metric);
+    std::vector<DatapathInput> beats;
+    beats.reserve(n);
+    for (size_t b = 0; b < n; ++b)
+        beats.push_back(
+            knnJobBeat(query, candidate, dims, metric, tag, b));
     return beats;
 }
 
@@ -198,12 +207,15 @@ KnnTraversal::search(const KnnQuery &query)
             const DataPoint &p =
                 index_.points[index_.bvh.tris[t].id];
             ++stats_.candidates;
-            std::vector<DatapathInput> beats = knnJobBeats(
-                q, p.coords.data(), index_.dims, query.metric, p.id);
-            stats_.distance_beats += beats.size();
+            const size_t beats =
+                knnBeatsPerJob(index_.dims, query.metric);
+            stats_.distance_beats += beats;
             core::DatapathOutput out{};
-            for (const DatapathInput &in : beats)
-                out = core::functionalEval(in, acc_);
+            for (size_t b = 0; b < beats; ++b)
+                out = core::functionalEval(
+                    knnJobBeat(q, p.coords.data(), index_.dims,
+                               query.metric, p.id, b),
+                    acc_);
             float score =
                 query.metric == KnnMetric::Euclidean
                     ? fp::fromBits(out.euclidean_accumulator)

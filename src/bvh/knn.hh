@@ -145,12 +145,20 @@ KnnIndex buildKnnIndex(std::vector<DataPoint> points,
 size_t knnBeatsPerJob(size_t dims, KnnMetric metric);
 
 /**
- * The datapath beats of one query-vs-candidate distance job — the
- * single source of truth for beat packing (mask covers exactly the
- * valid dimensions of each chunk, reset_accumulator set on the last
- * beat only), shared by the functional traversal, the cycle-accurate
- * RT unit, examples/knn_search.cpp and the golden-pinning tests.
+ * Beat `beat` (0 .. knnBeatsPerJob - 1) of one query-vs-candidate
+ * distance job — the single source of truth for beat packing (mask
+ * covers exactly the valid dimensions of the beat's chunk,
+ * reset_accumulator set on the last beat only), shared by the
+ * functional traversal and the cycle-accurate RT unit, which build
+ * each beat as they issue it.
  */
+core::DatapathInput knnJobBeat(const float *query, const float *candidate,
+                               size_t dims, KnnMetric metric,
+                               uint64_t tag, size_t beat);
+
+/** All beats of one distance job, in issue order (knnJobBeat for
+ *  every beat index): the batch form examples/knn_search.cpp and the
+ *  golden-pinning tests feed to core::runBatch. */
 std::vector<core::DatapathInput> knnJobBeats(const float *query,
                                              const float *candidate,
                                              size_t dims,

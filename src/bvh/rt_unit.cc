@@ -5,15 +5,23 @@
  * One cycle skeleton drives all three schedulers. Per cycle, publish()
  * offers up to issue_width beats, one per datapath lane, from a
  * first-ready cursor over the slots' offerable beats; advance() then
- * (a) samples each lane's input handshake, counting the accepted beats
- * and classifying the idle slots (lazily, once per cycle), and takes
- * the accepted beats in descending lane order; (b) drains one datapath
- * result per lane; (c) retires MSHR entries and completed fetches, then
- * issues new fetches through the shared L1 (optionally via the bounded
- * MSHR file); and (d) refills free slots from the submission queue.
- * All interactions with the datapath go through the ordinary
- * valid-ready handshake — one handshake per lane — so the unit
- * observes real pipeline back-pressure.
+ * (a) accepts every offered beat, counting them and classifying the
+ * idle slots (lazily, once per cycle), and takes the accepted beats in
+ * descending lane order; (b) delivers the result of each beat accepted
+ * kPipelineLatency cycles earlier, one per lane; (c) retires MSHR
+ * entries and completed fetches, then issues new fetches through the
+ * shared L1 (optionally via the bounded MSHR file); and (d) refills
+ * free slots from the submission queue.
+ *
+ * A lane is a delay line, not a ticked pipeline. The unit is always
+ * ready for a lane's output, so the elastic pipeline of core/datapath.hh
+ * is never back-pressured and hands each beat back exactly
+ * kPipelineLatency cycles after accepting it. The unit therefore
+ * evaluates each accepted beat once with core::functionalEval (the
+ * same eleven stage functions, with the lane's own distance
+ * accumulators seeing the lane's beats in accept order) and holds the
+ * result in the lane's ring until its delivery cycle. The ticked
+ * pipeline stays the reference model the datapath tests pin.
  *
  * The skeleton knows slots, beats and fetches; what a slot IS comes
  * from a handful of per-mode hooks (offerableBeats, offerInput,
@@ -52,6 +60,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace rayflex::bvh
 {
@@ -91,7 +100,7 @@ RtUnitConfig::normalized() const
     return n;
 }
 
-RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
+RtUnit::RtUnit(const Bvh4 &bvh, const core::DatapathConfig &dp,
                const RtUnitConfig &cfg)
     : pipeline::Component("rt-unit"), bvh_(bvh), dp_(dp),
       cfg_(cfg.normalized()),
@@ -100,16 +109,8 @@ RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
       mshrs_(cfg.mshrs),
       tri_base_(uint64_t(bvh.nodes.size()) * kNodeStrideBytes)
 {
-    // Lane 0 is the caller's datapath; lanes 1..N-1 are private
-    // replicas of the same configuration, one handshake each.
-    lanes_.push_back(&dp_);
-    for (unsigned l = 1; l < cfg_.issue_width; ++l) {
-        extra_lanes_.push_back(
-            std::make_unique<core::RayFlexDatapath>(dp_.config()));
-        lanes_.push_back(extra_lanes_.back().get());
-    }
-    offers_.resize(lanes_.size());
-    lane_inflight_.resize(lanes_.size());
+    lanes_.resize(cfg_.issue_width);
+    offers_.resize(cfg_.issue_width);
     if (packetized()) {
         // The ray buffer holds the same number of rays either way; a
         // packet slot stands in for `width` scalar entries.
@@ -128,11 +129,11 @@ RtUnit::RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
     }
 }
 
-RtUnit::RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
+RtUnit::RtUnit(const KnnIndex &index, const core::DatapathConfig &dp,
                const RtUnitConfig &cfg)
     : RtUnit(index.bvh, dp, withoutPackets(cfg))
 {
-    if (!dp.config().extended)
+    if (!dp.extended)
         throw std::invalid_argument(
             "RtUnit k-NN mode: datapath lacks the extended distance "
             "opcodes (build it with an extended DatapathConfig)");
@@ -332,27 +333,24 @@ RtUnit::publish(uint64_t)
     const size_t slots = slotCount();
     size_t slot = 0, beat = 0, avail = 0;
     for (size_t l = 0; l < lanes_.size(); ++l) {
-        lanes_[l]->out().ready = true; // always willing to drain
-        auto &in = lanes_[l]->in();
-        offers_[l] = LaneOffer{};
-        in.valid = false;
-        if (knnMode() && knn_lane_[l].active) {
+        LaneOffer &o = offers_[l];
+        o.entry = kNoOffer;
+        if (knnMode() && knn_lane_[l].active()) {
             // The lane finishes the candidate it is streaming: all of
             // a job's beats stay on one lane, in order, so the lane's
             // accumulator only ever holds that job's partial sums.
             const KnnLaneJob &job = knn_lane_[l];
-            in.valid = true;
-            in.bits = job.beats[job.next_beat];
-            offers_[l].entry = size_t(in.bits.tag >> 32);
+            o.entry = job.slot;
+            o.in = knnCandidateBeat(job.slot, job.tri, job.next_beat);
             continue;
         }
         for (; slot < slots; ++slot, beat = 0) {
             if (beat == 0)
                 avail = offerableBeats(slot);
             if (beat < avail) {
-                in.valid = true;
-                in.bits = offerInput(slot, beat);
-                offers_[l] = {slot, beat++};
+                o.entry = slot;
+                o.beat = beat;
+                o.in = offerInput(slot, beat++);
                 break;
             }
         }
@@ -372,19 +370,17 @@ RtUnit::advance(uint64_t cycle)
     now_ = cycle;
     ++stats_.cycles;
 
-    // (a) Input handshake outcome, per lane. Idle slots share one cause
-    // per cycle, classified lazily on the first idle lane (no slot
-    // changes state before the accept pass). Accepted beats are then
-    // taken in descending lane order, so a slot's remaining beat
-    // indices (offered ascending in publish) stay valid.
+    // (a) Accept every offer: the unit never back-pressures a lane.
+    // Idle slots share one cause per cycle, classified lazily on the
+    // first idle lane (no slot or lane changes state before the accept
+    // pass). Accepted beats are then taken in descending lane order, so
+    // a slot's remaining beat indices (offered ascending in publish)
+    // stay valid.
     obs::Slot idle_cause = obs::Slot::kCount;
-    std::array<bool, kMaxIssueWidth> fired{};
     for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &in = lanes_[l]->in();
-        if (offers_[l].entry != kNoOffer && in.valid && in.ready) {
-            fired[l] = true;
+        if (offers_[l].entry != kNoOffer) {
             ++stats_.datapath_beats;
-            ++stats_.beats_by_op[size_t(in.bits.op)];
+            ++stats_.beats_by_op[size_t(offers_[l].in.op)];
             ++stats_.slots[obs::Slot::Issued];
         } else {
             if (idle_cause == obs::Slot::kCount)
@@ -393,14 +389,20 @@ RtUnit::advance(uint64_t cycle)
         }
     }
     for (size_t l = lanes_.size(); l-- > 0;)
-        if (fired[l])
+        if (offers_[l].entry != kNoOffer)
             acceptBeat(l);
 
-    // (b) Output handshake outcome, per lane.
-    for (size_t l = 0; l < lanes_.size(); ++l) {
-        const auto &out = lanes_[l]->out();
-        if (out.valid && out.ready)
-            laneResult(l, out.bits);
+    // (b) Deliver, per lane, the beat accepted kPipelineLatency cycles
+    // ago. (The unsigned wrap of the first cycles is harmless: 2^64 is
+    // a multiple of kLaneSlots, and those ring slots are empty.)
+    const size_t due = (now_ - kPipelineLatency) % kLaneSlots;
+    for (Lane &lane : lanes_) {
+        InflightBeat &ib = lane.ring[due];
+        if (!ib.valid)
+            continue;
+        ib.valid = false;
+        --beats_in_flight_;
+        laneResult(ib);
     }
 
     // Occupancy-driven repacking at fetch boundaries (packet mode),
@@ -500,8 +502,7 @@ core::DatapathInput
 RtUnit::offerInput(size_t i, size_t j) const
 {
     if (knnMode())
-        return knnCandidateBeats(i, knn_entries_[i].pending_cands[j])
-            .front();
+        return knnCandidateBeat(i, knn_entries_[i].pending_cands[j], 0);
     if (packetized())
         return packets_[i].makeBeatAt(j, i);
     const Entry &e = entries_[i];
@@ -526,10 +527,23 @@ RtUnit::offerInput(size_t i, size_t j) const
 void
 RtUnit::acceptBeat(size_t l)
 {
-    const LaneOffer o = offers_[l];
+    const LaneOffer &o = offers_[l];
+    // What stage 1 of a ticked lane (core/datapath.cc) raises for an
+    // opcode its datapath does not implement.
+    if (!dp_.extended && o.in.op != Opcode::RayBox &&
+        o.in.op != Opcode::RayTriangle)
+        throw std::invalid_argument(std::string("opcode ") +
+                                    opcodeName(o.in.op) +
+                                    " not supported by " + dp_.name() +
+                                    " datapath");
+    Lane &lane = lanes_[l];
+    InflightBeat &ib = lane.ring[now_ % kLaneSlots];
+    ib.valid = true;
+    ib.out = functionalEval(o.in, lane.acc, dp_.box_width);
+    ib.slot = o.entry;
+    ++beats_in_flight_;
     if (packetized()) {
-        lane_inflight_[l].push_back(
-            {o.entry, packets_[o.entry].takeBeatAt(o.beat)});
+        ib.beat = packets_[o.entry].takeBeatAt(o.beat);
         return;
     }
     if (!knnMode()) {
@@ -541,9 +555,8 @@ RtUnit::acceptBeat(size_t l)
     }
     ++stats_.knn.distance_beats;
     KnnLaneJob &job = knn_lane_[l];
-    if (job.active) {
-        if (++job.next_beat == job.beats.size())
-            job = KnnLaneJob{}; // last beat accepted: lane free
+    if (job.active()) {
+        ++job.next_beat; // the last beat's accept frees the lane
         return;
     }
     // First beat of a new candidate: take it off the entry and lock the
@@ -553,9 +566,8 @@ RtUnit::acceptBeat(size_t l)
     e.pending_cands.erase(e.pending_cands.begin() + ptrdiff_t(o.beat));
     ++e.inflight_cands;
     ++stats_.knn.candidates;
-    std::vector<DatapathInput> beats = knnCandidateBeats(o.entry, tri);
-    if (beats.size() > 1)
-        job = {true, std::move(beats), 1};
+    job = {uint32_t(o.entry), tri, 1,
+           uint32_t(knnBeatsPerJob(knn_index_->dims, e.metric))};
     // Leaf work fully issued: move on to the next frontier item (the
     // next fetch overlaps the in-flight scores). Descending-lane order
     // makes this the entry's last accept of the cycle.
@@ -588,10 +600,7 @@ RtUnit::slotOccupancy(bool *need_fetch, bool *in_datapath) const
         else if (p.issueReady())
             *in_datapath = true;
     }
-    for (const KnnLaneJob &j : knn_lane_)
-        *in_datapath = *in_datapath || j.active;
-    for (const auto &q : lane_inflight_)
-        *in_datapath = *in_datapath || !q.empty();
+    *in_datapath = *in_datapath || beats_in_flight_ > 0;
 }
 
 bool
@@ -669,24 +678,21 @@ RtUnit::fillArrived(size_t i)
 }
 
 void
-RtUnit::laneResult(size_t l, const core::DatapathOutput &out)
+RtUnit::laneResult(const InflightBeat &ib)
 {
     if (knnMode()) {
-        handleKnnResult(out);
+        handleKnnResult(ib.out);
         return;
     }
     if (!packetized()) {
-        handleResult(out);
+        handleResult(ib.out);
         return;
     }
-    // Each lane is in order, so its front in-flight beat identifies the
-    // result's packet, member lane and triangle. A result can complete
-    // the packet's current item, push children and retire lanes whose
-    // work ran out.
-    const InflightBeat ib = lane_inflight_[l].front();
-    lane_inflight_[l].pop_front();
+    // The in-flight beat names the result's packet, member lane and
+    // triangle. A result can complete the packet's current item, push
+    // children and retire lanes whose work ran out.
     PacketTraversal &p = packets_[ib.slot];
-    p.handleResult(out, ib.beat);
+    p.handleResult(ib.out, ib.beat);
     drainCompleted(p);
 }
 
@@ -912,17 +918,16 @@ RtUnit::compactPackets()
 // k-NN scheduler
 // ---------------------------------------------------------------------
 
-std::vector<core::DatapathInput>
-RtUnit::knnCandidateBeats(size_t slot, uint32_t tri) const
+core::DatapathInput
+RtUnit::knnCandidateBeat(size_t slot, uint32_t tri, size_t beat) const
 {
     const KnnEntry &e = knn_entries_[slot];
     const DataPoint &p = knn_index_->points[bvh_.tris[tri].id];
     // The tag routes the out-of-order final beat back to its query and
     // candidate: entry slot in the high half, triangle index (unique
     // per candidate) in the low half.
-    return knnJobBeats(e.point.data(), p.coords.data(),
-                       knn_index_->dims, e.metric,
-                       (uint64_t(slot) << 32) | tri);
+    return knnJobBeat(e.point.data(), p.coords.data(), knn_index_->dims,
+                      e.metric, (uint64_t(slot) << 32) | tri, beat);
 }
 
 void
@@ -1020,8 +1025,6 @@ RtUnit::handleKnnResult(const core::DatapathOutput &out)
 void
 RtUnit::registerWith(pipeline::Simulator &sim)
 {
-    for (core::RayFlexDatapath *lane : lanes_)
-        lane->registerWith(sim);
     sim.add(this);
 }
 
@@ -1032,10 +1035,9 @@ RtUnit::beginRun()
     mshrs_.reset();
     mshr_refused_ = false;
     trace_occupancy_last_ = ~uint64_t(0);
-    for (auto &q : lane_inflight_)
-        q.clear();
-    for (KnnLaneJob &j : knn_lane_)
-        j = KnnLaneJob{};
+    std::fill(lanes_.begin(), lanes_.end(), Lane{});
+    beats_in_flight_ = 0;
+    std::fill(knn_lane_.begin(), knn_lane_.end(), KnnLaneJob{});
     mem_->reset(); // cold cache per run: runs are reproducible
 }
 
@@ -1044,7 +1046,9 @@ RtUnit::endRun()
 {
     stats_.mem = mem_->stats();
     if (outstanding_ > 0)
-        throw std::runtime_error("RtUnit::run: rays did not complete");
+        throw std::runtime_error("RtUnit::endRun: " +
+                                 std::to_string(outstanding_) +
+                                 " item(s) still outstanding");
     return stats_;
 }
 
@@ -1056,6 +1060,11 @@ RtUnit::run(uint64_t max_cycles)
     beginRun();
     while (outstanding_ > 0 && stats_.cycles < max_cycles)
         sim.tick();
+    if (outstanding_ > 0)
+        throw std::runtime_error(
+            "RtUnit::run: " + std::to_string(outstanding_) +
+            " item(s) did not finish within max_cycles (" +
+            std::to_string(max_cycles) + " cycles)");
     return endRun();
 }
 

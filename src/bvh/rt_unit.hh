@@ -1,19 +1,23 @@
 /**
  * @file
- * A cycle-level RT-unit wrapper around the RayFlex pipeline.
+ * A cycle-level RT unit around the RayFlex datapath.
  *
  * The paper models only the intersection-test datapath (the highlighted
  * box of Fig. 2) and defers warp management and memory scheduling to the
  * enclosing RT unit (as modelled by Vulkan-Sim). This module provides a
- * simplified version of that enclosing unit so the pipelined datapath
- * can be exercised under realistic traversal traffic: a ray buffer holds
+ * simplified version of that enclosing unit so the datapath can be
+ * exercised under realistic traversal traffic: a ray buffer holds
  * in-flight rays with their traversal stacks, a pluggable MemoryModel
  * (bvh/mem_model.hh) — the unit's SHARED L1, serving every slot, and
  * optionally fronted by a bounded MSHR file (RtUnitConfig::mshrs)
  * that merges duplicate in-flight fetches and back-pressures slots
  * when full — supplies BVH data, and a scheduler feeds ready rays
  * into a datapath of RtUnitConfig::issue_width replicated lanes, up
- * to one beat per lane per cycle. One cycle loop serves three
+ * to one beat per lane per cycle. The unit never back-pressures a
+ * lane, so each lane is modelled as what the elastic pipeline of
+ * core/datapath.hh then is: a delay line that hands every beat's
+ * core::functionalEval result back exactly core::kPipelineLatency
+ * cycles after acceptance. One cycle loop serves three
  * scheduling modes: the scalar mode traces one independent ray per
  * ray-buffer entry, the packet/wavefront mode (RtUnitConfig::packet,
  * bvh/packet.hh) groups coherent rays into packets that share a
@@ -35,7 +39,8 @@
 #include "bvh/mem_model.hh"
 #include "bvh/packet.hh"
 #include "bvh/traversal.hh"
-#include "core/datapath.hh"
+#include "core/config.hh"
+#include "core/stages.hh"
 #include "obs/slot_accounting.hh"
 #include "obs/trace.hh"
 #include "pipeline/component.hh"
@@ -67,11 +72,10 @@ struct RtUnitConfig
 
     /** Datapath issue lanes, 1..kMaxIssueWidth. The unit drives up to
      *  this many beats per cycle into the datapath by replicating the
-     *  pipeline lane behind one valid/ready handshake per lane: lane 0
-     *  is the caller's datapath, lanes 1..N-1 are private replicas
-     *  built from the same DatapathConfig. issue_width == 1 (the
-     *  default) preserves the single-beat scalar and packet schedules
-     *  bit-for-bit. */
+     *  one-beat-per-cycle pipeline lane: every lane is built from the
+     *  unit's DatapathConfig and owns its own distance accumulators.
+     *  issue_width == 1 (the default) preserves the single-beat scalar
+     *  and packet schedules bit-for-bit. */
     unsigned issue_width = 1;
 
     /** Bounded MSHR file fronting the unit's shared L1 (bvh::MshrFile).
@@ -219,15 +223,19 @@ struct RtUnitStats
 };
 
 /**
- * The RT unit: traverses a BVH for a batch of rays using a pipelined
- * RayFlex datapath instance.
+ * The RT unit: traverses a BVH for a batch of rays on issue_width
+ * RayFlex datapath lanes built from one DatapathConfig.
  */
 class RtUnit : public pipeline::Component
 {
   public:
     /** The unit runs cfg.normalized() (which may throw) over a
-     *  private MemoryModel that every run() starts cold. */
-    RtUnit(const Bvh4 &bvh, core::RayFlexDatapath &dp,
+     *  private MemoryModel that every run() starts cold, on lanes of
+     *  the datapath `dp` describes.
+     *  @throws std::invalid_argument from run()/advance() when a lane
+     *          is offered an opcode `dp` does not implement (the same
+     *          error the ticked pipeline's stage 1 raises). */
+    RtUnit(const Bvh4 &bvh, const core::DatapathConfig &dp,
            const RtUnitConfig &cfg = {});
 
     /**
@@ -240,11 +248,11 @@ class RtUnit : public pipeline::Component
      * datapath lanes. The packet scheduler does not apply to k-NN
      * queries (a query is its own traversal; PacketConfig is accepted
      * and ignored). The index must outlive the unit.
-     * @throws std::invalid_argument when `dp` was not built with an
-     *         extended DatapathConfig (the distance opcodes are
-     *         missing otherwise).
+     * @throws std::invalid_argument when `dp` is not an extended
+     *         DatapathConfig (the distance opcodes are missing
+     *         otherwise).
      */
-    RtUnit(const KnnIndex &index, core::RayFlexDatapath &dp,
+    RtUnit(const KnnIndex &index, const core::DatapathConfig &dp,
            const RtUnitConfig &cfg = {});
 
     /** Queue a k-NN query (k-NN mode only); the result appears at
@@ -287,13 +295,16 @@ class RtUnit : public pipeline::Component
     }
 
     /** Run the unit until all submitted rays complete.
-     *  @return statistics for the run. */
+     *  @return statistics for the run.
+     *  @throws std::runtime_error naming max_cycles and the number of
+     *          unfinished items when they do not complete within
+     *          max_cycles cycles. */
     RtUnitStats run(uint64_t max_cycles = 100000000ull);
 
     /**
      * Lock-step chip API: run() decomposed so N units can share one
      * pipeline::Simulator and tick together over a shared L2.
-     * registerWith() registers the unit's lanes and the unit itself;
+     * registerWith() registers the unit (its lanes are part of it);
      * beginRun() resets per-run state (run()'s preamble); done() is
      * true when every submitted ray completed; endRun() finalizes and
      * returns the stats (run()'s postamble — throws if rays remain).
@@ -401,7 +412,8 @@ class RtUnit : public pipeline::Component
     size_t offerableBeats(size_t i);
     /** Datapath input of slot `i`'s offerable beat `j`. */
     core::DatapathInput offerInput(size_t i, size_t j) const;
-    /** Lane `lane` accepted its offer (offers_[lane]). */
+    /** Lane `lane` accepted its offer (offers_[lane]): evaluate the
+     *  beat into the lane's delay line and update the offering slot. */
     void acceptBeat(size_t lane);
     /** The classifyIdle inputs: a slot sits in NeedFetch; work is
      *  ready for or riding the issue lanes. */
@@ -412,7 +424,9 @@ class RtUnit : public pipeline::Component
     bool holdFetch(size_t i);
     void fetchIssued(size_t i);
     void fillArrived(size_t i);
-    void laneResult(size_t lane, const core::DatapathOutput &out);
+    struct InflightBeat;
+    /** A lane delivered `ib`, kPipelineLatency cycles after accept. */
+    void laneResult(const InflightBeat &ib);
     /** Admit queued work into slot `i` if it is free. */
     void admitWork(size_t i);
 
@@ -453,9 +467,11 @@ class RtUnit : public pipeline::Component
      *  one lane's accumulator. */
     struct KnnLaneJob
     {
-        bool active = false;
-        std::vector<core::DatapathInput> beats;
-        size_t next_beat = 0;
+        uint32_t slot = 0;      ///< entry slot of the candidate's query
+        uint32_t tri = 0;       ///< the candidate (triangle index)
+        uint32_t next_beat = 0; ///< next beat to offer
+        uint32_t beats = 0;     ///< the job's beat count
+        bool active() const { return next_beat < beats; }
     };
 
     /** A queued query waiting for a free entry slot. */
@@ -480,10 +496,10 @@ class RtUnit : public pipeline::Component
         if (e.draining && e.inflight_cands == 0)
             finishKnnQuery(e);
     }
-    /** The distance beats of candidate (triangle) `tri` for entry
+    /** Distance beat `beat` of candidate (triangle) `tri` for entry
      *  slot `slot`'s query. */
-    std::vector<core::DatapathInput> knnCandidateBeats(size_t slot,
-                                                      uint32_t tri) const;
+    core::DatapathInput knnCandidateBeat(size_t slot, uint32_t tri,
+                                         size_t beat) const;
 
     const KnnIndex *knn_index_ = nullptr;
     std::vector<KnnEntry> knn_entries_;
@@ -496,16 +512,11 @@ class RtUnit : public pipeline::Component
     void compactPackets();
 
     const Bvh4 &bvh_;
-    core::RayFlexDatapath &dp_;
+    core::DatapathConfig dp_; ///< what every lane implements
     RtUnitConfig cfg_;
     std::unique_ptr<MemoryModel> mem_; ///< the unit's shared L1
     MshrFile mshrs_;        ///< outstanding-request file (may be off)
     uint64_t tri_base_ = 0; ///< triangle region base address
-
-    /** Issue lanes: lanes_[0] is the caller's datapath, the rest are
-     *  private replicas (extra_lanes_) built from the same config. */
-    std::vector<core::RayFlexDatapath *> lanes_;
-    std::vector<std::unique_ptr<core::RayFlexDatapath>> extra_lanes_;
 
     /** Repacking window: cycles a below-threshold packet defers its
      *  next fetch waiting for a compaction partner to reach a fetch
@@ -540,17 +551,40 @@ class RtUnit : public pipeline::Component
     {
         size_t entry = kNoOffer; ///< slot index
         size_t beat = 0;         ///< the slot's offerable-beat index
+        core::DatapathInput in;  ///< the offered beat
     };
     std::vector<LaneOffer> offers_;
-    /** Per-lane in-flight beats (packet mode): each accepted beat,
-     *  with its packet slot, in issue order. Lanes are in-order, so
-     *  the front matches the lane's next output. */
+
+    /** A beat riding a lane: its result, and the slot (plus, in packet
+     *  mode, the member beat) it answers. */
     struct InflightBeat
     {
+        bool valid = false;
+        core::DatapathOutput out;
         size_t slot = 0;
         PacketBeat beat;
     };
-    std::vector<std::deque<InflightBeat>> lane_inflight_;
+    /** Ring slots per lane, indexed by accept cycle. More than
+     *  kPipelineLatency, so a beat's slot is not reused before the
+     *  beat leaves; a power of two, so the index is a mask. */
+    static constexpr size_t kLaneSlots = 16;
+    static_assert(kLaneSlots > core::kPipelineLatency &&
+                  (kLaneSlots & (kLaneSlots - 1)) == 0);
+    /** One issue lane as a delay line. The unit is always ready for a
+     *  lane's output, so a beat accepted at cycle c leaves at exactly
+     *  c + kPipelineLatency (the core/datapath.hh contract): it is
+     *  evaluated once at acceptance and its result waits in ring slot
+     *  c % kLaneSlots. */
+    struct Lane
+    {
+        std::array<InflightBeat, kLaneSlots> ring;
+        /** The lane's stage-9/10 registers; beats reach them in
+         *  accept order, as in the ticked pipeline. */
+        core::DistanceAccumulators acc;
+    };
+    std::vector<Lane> lanes_;
+    /** Beats riding any lane (the classifyIdle in-datapath input). */
+    size_t beats_in_flight_ = 0;
 };
 
 } // namespace rayflex::bvh

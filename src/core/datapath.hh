@@ -65,7 +65,10 @@ struct ActivityTrace
  * the same Simulator and drive one valid/ready handshake per lane —
  * the pipeline itself stays one-beat-per-cycle and in order, which is
  * what lets a lane's consumer match results to inputs positionally.
- * bvh::RtUnit (RtUnitConfig::issue_width) is the canonical example.
+ * A consumer that never back-pressures may instead model each lane as
+ * a kPipelineLatency-cycle delay line over functionalEval, with the
+ * lane's own DistanceAccumulators; bvh::RtUnit does (RtUnitConfig::
+ * issue_width).
  */
 class RayFlexDatapath
 {

@@ -11,10 +11,9 @@
  * shards a ray workload into fixed batches (core::sliceBatches), has
  * each worker thread gather its claimed batch into executor ray refs
  * and run them through one shared sim::BatchExecutor (which constructs
- * a fresh bvh::RtUnit + core::RayFlexDatapath — or, in the functional
- * model, a bvh::Traverser — per batch against the shared immutable
- * Scene/BVH), and merges the per-batch statistics into an aggregate
- * report.
+ * fresh bvh::RtUnits — or, in the functional model, a bvh::Traverser —
+ * per batch against the shared immutable Scene/BVH), and merges the
+ * per-batch statistics into an aggregate report.
  *
  * Determinism contract: per-ray hit records and the merged statistics
  * are bit-identical for every thread count. Three properties make this

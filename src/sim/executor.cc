@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bvh/traversal.hh"
-#include "core/datapath.hh"
 #include "pipeline/component.hh"
 
 namespace rayflex::sim
@@ -42,8 +41,8 @@ namespace
 {
 
 /** The one cycle-accurate runner, for ray and k-NN batches at every
- *  unit count: build cfg.chip.clampedUnits() units over `source` (a
- *  Bvh4 or a KnnIndex), each on a fresh datapath, attach the L2 tier
+ *  unit count: build cfg.chip.clampedUnits() fresh units over `source`
+ *  (a Bvh4 or a KnnIndex) with cfg.dp lanes, attach the L2 tier
  *  and the trace sink, hand item k to unit k % units as local id
  *  k / units (`submit`), tick until every unit is done, then merge
  *  the stats and scatter the results (`gather`). */
@@ -55,14 +54,10 @@ runChip(const ExecutorConfig &cfg, const Source &source,
 {
     const unsigned units = cfg.chip.clampedUnits();
 
-    std::vector<std::unique_ptr<core::RayFlexDatapath>> dps;
     std::vector<std::unique_ptr<bvh::RtUnit>> us;
-    dps.reserve(units);
     us.reserve(units);
-    for (unsigned u = 0; u < units; ++u) {
-        dps.push_back(std::make_unique<core::RayFlexDatapath>(cfg.dp));
-        us.push_back(std::make_unique<bvh::RtUnit>(source, *dps[u], rt));
-    }
+    for (unsigned u = 0; u < units; ++u)
+        us.push_back(std::make_unique<bvh::RtUnit>(source, cfg.dp, rt));
 
     std::unique_ptr<bvh::SharedL2> shared;
     std::vector<std::unique_ptr<bvh::SharedL2>> priv;

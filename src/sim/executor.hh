@@ -32,8 +32,9 @@ namespace rayflex::sim
 
 /** How each batch is evaluated. */
 enum class ExecutionModel : uint8_t {
-    /** Cycle-accurate: a bvh::RtUnit drives a pipelined datapath, so the
-     *  report carries cycle counts, utilization and memory stalls. */
+    /** Cycle-accurate: a bvh::RtUnit drives its datapath lanes (each
+     *  an 11-cycle delay line over the stage functions), so the report
+     *  carries cycle counts, utilization and memory stalls. */
     CycleAccurate,
     /** Functional: a bvh::Traverser invokes the datapath arithmetic
      *  directly (same intersection decisions, no timing). Orders of

@@ -12,6 +12,7 @@
 #include "bvh/rt_unit.hh"
 #include "bvh/scene.hh"
 #include "bvh/traversal.hh"
+#include "core/datapath.hh"
 
 using namespace rayflex::bvh;
 using namespace rayflex::core;
@@ -158,7 +159,7 @@ TEST(RtUnit, MatchesFunctionalTraversal)
 {
     Bvh4 bvh = buildBvh4(smallScene(17));
     RayFlexDatapath dp(kBaselineUnified);
-    RtUnit unit(bvh, dp);
+    RtUnit unit(bvh, dp.config());
 
     std::mt19937_64 rng(77);
     std::vector<rayflex::core::Ray> rays;
@@ -193,7 +194,7 @@ TEST(RtUnit, UtilizationImprovesWithMoreRaysInFlight)
         RayFlexDatapath dp(kBaselineUnified);
         RtUnitConfig cfg;
         cfg.ray_buffer_entries = entries;
-        RtUnit unit(bvh, dp, cfg);
+        RtUnit unit(bvh, dp.config(), cfg);
         for (uint32_t i = 0; i < rays.size(); ++i)
             unit.submit(rays[i], i);
         return unit.run();
@@ -217,7 +218,7 @@ TEST(RtUnit, MemoryLatencyCostsCycles)
         RayFlexDatapath dp(kBaselineUnified);
         RtUnitConfig cfg;
         cfg.mem_latency = latency;
-        RtUnit unit(bvh, dp, cfg);
+        RtUnit unit(bvh, dp.config(), cfg);
         for (uint32_t i = 0; i < rays.size(); ++i)
             unit.submit(rays[i], i);
         return unit.run();

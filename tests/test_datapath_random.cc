@@ -13,9 +13,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "core/datapath.hh"
 #include "core/golden.hh"
 #include "core/workloads.hh"
+#include "pipeline/drivers.hh"
 
 using namespace rayflex::core;
 using rayflex::fp::fromBits;
@@ -130,11 +134,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomOps,
 
 // ----- pipelined model equals functional model -----
 
-TEST(PipelinedEquivalence, MixedTrafficMatchesFunctional)
+namespace
 {
-    WorkloadGen gen(4242);
+
+/** Random box, triangle, Euclidean and cosine beats, interleaved. */
+std::vector<DatapathInput>
+mixedTraffic(uint64_t seed, int n)
+{
+    WorkloadGen gen(seed);
     std::vector<DatapathInput> inputs;
-    for (int i = 0; i < 3000; ++i) {
+    for (int i = 0; i < n; ++i) {
         switch (gen.engine()() % 4) {
           case 0: inputs.push_back(gen.rayBoxOp(uint64_t(i))); break;
           case 1:
@@ -150,6 +159,79 @@ TEST(PipelinedEquivalence, MixedTrafficMatchesFunctional)
             break;
         }
     }
+    return inputs;
+}
+
+/** Every field of two output beats, the fields of the other opcodes
+ *  included (both sides come out of stage 11, which leaves them at
+ *  their defaults). F32 fields compare as bit patterns. */
+::testing::AssertionResult
+sameOutput(const DatapathOutput &a, const DatapathOutput &b)
+{
+    const auto differ = [&](const char *field) {
+        return ::testing::AssertionFailure()
+               << field << " differs (tag " << a.tag << ")";
+    };
+    if (a.op != b.op)
+        return differ("op");
+    if (a.tag != b.tag)
+        return differ("tag");
+    if (a.box.hit != b.box.hit)
+        return differ("box.hit");
+    if (a.box.order != b.box.order)
+        return differ("box.order");
+    if (a.box.sorted_dist != b.box.sorted_dist)
+        return differ("box.sorted_dist");
+    if (a.tri.hit != b.tri.hit)
+        return differ("tri.hit");
+    if (a.tri.t_num != b.tri.t_num)
+        return differ("tri.t_num");
+    if (a.tri.t_den != b.tri.t_den)
+        return differ("tri.t_den");
+    if (a.tri.uvw != b.tri.uvw)
+        return differ("tri.uvw");
+    if (a.euclidean_accumulator != b.euclidean_accumulator)
+        return differ("euclidean_accumulator");
+    if (a.euclidean_reset != b.euclidean_reset)
+        return differ("euclidean_reset");
+    if (a.angular_dot_product != b.angular_dot_product)
+        return differ("angular_dot_product");
+    if (a.angular_norm != b.angular_norm)
+        return differ("angular_norm");
+    if (a.angular_reset != b.angular_reset)
+        return differ("angular_reset");
+    return ::testing::AssertionSuccess();
+}
+
+/** Records the cycle of every beat the datapath's input accepts. */
+class AcceptProbe : public rayflex::pipeline::Component
+{
+  public:
+    explicit AcceptProbe(rayflex::pipeline::Decoupled<DatapathInput> *in)
+        : Component("accept-probe"), in_(in)
+    {}
+
+    const std::vector<uint64_t> &cycles() const { return cycles_; }
+
+    void publish(uint64_t) override {}
+
+    void
+    advance(uint64_t cycle) override
+    {
+        if (in_->valid && in_->ready)
+            cycles_.push_back(cycle);
+    }
+
+  private:
+    rayflex::pipeline::Decoupled<DatapathInput> *in_;
+    std::vector<uint64_t> cycles_;
+};
+
+} // namespace
+
+TEST(PipelinedEquivalence, MixedTrafficMatchesFunctional)
+{
+    const std::vector<DatapathInput> inputs = mixedTraffic(4242, 3000);
 
     RayFlexDatapath dp(kExtendedUnified);
     std::vector<DatapathOutput> piped = runBatch(dp, inputs);
@@ -157,33 +239,54 @@ TEST(PipelinedEquivalence, MixedTrafficMatchesFunctional)
 
     DistanceAccumulators acc;
     for (size_t i = 0; i < inputs.size(); ++i) {
-        DatapathOutput fn = functionalEval(inputs[i], acc);
         ASSERT_EQ(piped[i].tag, inputs[i].tag);
         ASSERT_EQ(piped[i].op, inputs[i].op);
-        switch (inputs[i].op) {
-          case Opcode::RayBox:
-            for (int b = 0; b < 4; ++b) {
-                ASSERT_EQ(piped[i].box.hit[b], fn.box.hit[b]);
-                ASSERT_EQ(piped[i].box.order[b], fn.box.order[b]);
-            }
-            break;
-          case Opcode::RayTriangle:
-            ASSERT_EQ(piped[i].tri.hit, fn.tri.hit);
-            ASSERT_EQ(piped[i].tri.t_num, fn.tri.t_num);
-            ASSERT_EQ(piped[i].tri.t_den, fn.tri.t_den);
-            break;
-          case Opcode::Euclidean:
-            ASSERT_EQ(piped[i].euclidean_accumulator,
-                      fn.euclidean_accumulator);
-            ASSERT_EQ(piped[i].euclidean_reset, fn.euclidean_reset);
-            break;
-          case Opcode::Cosine:
-            ASSERT_EQ(piped[i].angular_dot_product,
-                      fn.angular_dot_product);
-            ASSERT_EQ(piped[i].angular_norm, fn.angular_norm);
-            ASSERT_EQ(piped[i].angular_reset, fn.angular_reset);
-            break;
-        }
+        ASSERT_TRUE(sameOutput(piped[i], functionalEval(inputs[i], acc)))
+            << "beat " << i;
+    }
+}
+
+TEST(PipelinedEquivalence, BubblyInputLeavesAfterExactlyTheLatency)
+{
+    // The contract a never-back-pressuring consumer may rely on (an RT
+    // unit models its issue lanes as delay lines on it): with the
+    // output always ready, every beat leaves exactly kPipelineLatency
+    // cycles after its acceptance, whatever bubbles the input carries,
+    // and equals the functional evaluation in accept order.
+    const std::vector<DatapathInput> inputs = mixedTraffic(977, 3000);
+    std::mt19937_64 rng(31);
+    std::vector<bool> valid(4 * inputs.size());
+    for (size_t c = 0; c < valid.size(); ++c)
+        valid[c] = rng() % 5 < 3; // ~40% bubbles, random run lengths
+
+    RayFlexDatapath dp(kExtendedUnified);
+    rayflex::pipeline::Simulator sim;
+    rayflex::pipeline::Source<DatapathInput> src(
+        "src", &dp.in(), [&valid](uint64_t c) {
+            return c < valid.size() && valid[c];
+        });
+    rayflex::pipeline::Sink<DatapathOutput> sink("sink", &dp.out());
+    AcceptProbe probe(&dp.in());
+    dp.registerWith(sim);
+    sim.add(&src);
+    sim.add(&sink);
+    sim.add(&probe);
+    src.pushAll(inputs);
+    while (sink.count() < inputs.size() && sim.cycle() < valid.size())
+        sim.tick();
+
+    ASSERT_EQ(sink.count(), inputs.size());
+    ASSERT_EQ(probe.cycles().size(), inputs.size());
+    EXPECT_LT(inputs.size() + 500, sink.arrivalCycles().back())
+        << "the input pattern should leave bubbles between beats";
+    DistanceAccumulators acc;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+        ASSERT_EQ(sink.arrivalCycles()[i],
+                  probe.cycles()[i] + kPipelineLatency)
+            << "beat " << i;
+        ASSERT_TRUE(sameOutput(sink.received()[i],
+                               functionalEval(inputs[i], acc)))
+            << "beat " << i;
     }
 }
 

@@ -94,7 +94,7 @@ TEST(Integration, RtUnitAgreesWithTraverserOnRealScene)
     RtUnitConfig cfg;
     cfg.ray_buffer_entries = 8;
     cfg.mem_latency = 7;
-    RtUnit unit(bvh, dp, cfg);
+    RtUnit unit(bvh, dp.config(), cfg);
 
     Camera cam;
     cam.eye = {5, 4, 6};

@@ -317,6 +317,36 @@ TEST(KnnCycle, MatchesGoldenBothMetrics)
     }
 }
 
+TEST(KnnCycle, WideUnitsMatchGoldenOnMultiBeatJobs)
+{
+    // At 20 dims every job spans several beats (2 Euclidean, 3
+    // cosine), and a wide unit streams several jobs at once, one per
+    // lane. Each lane's accumulators must see only its own job's
+    // beats, or the scores drift from the golden scan.
+    const unsigned dims = 20;
+    const std::vector<DataPoint> cloud =
+        makePointCloud(400, dims, 6, 11);
+    const KnnIndex index = buildKnnIndex(cloud);
+
+    for (const unsigned issue : {4u, 8u}) {
+        sim::EngineConfig cfg;
+        cfg.model = sim::ExecutionModel::CycleAccurate;
+        cfg.dp = core::kExtendedUnified;
+        cfg.threads = 1;
+        cfg.rt.issue_width = issue;
+        const sim::Engine engine(cfg);
+        for (const KnnMetric metric :
+             {KnnMetric::Euclidean, KnnMetric::Cosine}) {
+            const std::vector<KnnQuery> queries =
+                makeQueries(64, dims, 5, metric, 12);
+            const sim::KnnReport rep = engine.runKnn(index, queries);
+            ASSERT_TRUE(allBitIdentical(rep.results,
+                                        goldenAll(cloud, queries, dims)))
+                << "issue " << issue << " metric " << int(metric);
+        }
+    }
+}
+
 TEST(KnnCycle, RequiresExtendedDatapath)
 {
     const KnnIndex index = buildKnnIndex(makePointCloud(8, 4, 2, 3));

@@ -8,12 +8,15 @@
  * bit-identity at 1/2/8 workers for both the batch engine and the
  * streaming service, log-linear histogram algebra (merge
  * commutativity, exactness below 64, quantile-vs-exact-sort error
- * bound), stall-bucket plausibility per configuration, and the
- * streaming percentile ordering p50 <= p99 <= p999.
+ * bound), stall-bucket plausibility per configuration, the
+ * streaming percentile ordering p50 <= p99 <= p999, and hard-coded
+ * trace digests and counters per scheduler and for wide (4- and
+ * 8-lane) units.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -491,6 +494,97 @@ TEST(Obs, TraceOrderPinnedPerScheduler)
         const sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
         EXPECT_EQ(rep.trace.size(), 11507u);
         EXPECT_EQ(traceDigest(rep.trace), 1369870198423271869ull);
+    }
+}
+
+namespace
+{
+
+/** A hard-coded run: trace size and digest, cycles, every slot bucket
+ *  and the per-opcode beat counts. */
+struct RunPin
+{
+    size_t trace_size;
+    uint64_t digest;
+    uint64_t cycles;
+    std::array<uint64_t, obs::kSlotBuckets> slots;
+    std::array<uint64_t, kNumOpcodes> beats_by_op;
+};
+
+void
+expectPinned(const std::vector<obs::TraceRecord> &trace,
+             const RtUnitStats &u, const RunPin &pin)
+{
+    EXPECT_EQ(trace.size(), pin.trace_size);
+    EXPECT_EQ(traceDigest(trace), pin.digest);
+    EXPECT_EQ(u.cycles, pin.cycles);
+    EXPECT_EQ(u.slots.buckets, pin.slots);
+    EXPECT_EQ(u.beats_by_op, pin.beats_by_op);
+}
+
+} // namespace
+
+TEST(Obs, MultiLaneRunsPinned)
+{
+    // Hard-coded from the ticked-lane unit (eleven skid buffers per
+    // issue lane), before the lanes became delay lines. Every lane of
+    // these wide units carries beats, so a result delivered a cycle
+    // early or late on any lane moves the trace, the cycle count or a
+    // slot bucket.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = testRays(bvh, 48);
+    const auto traced = [](unsigned issue) {
+        sim::EngineConfig cfg = baseConfig();
+        cfg.trace = true;
+        cfg.rt.mem_backend = MemBackend::NodeCache;
+        cfg.rt.cache = kProbeCache4KiB;
+        cfg.rt.issue_width = issue;
+        cfg.rt.mshrs = 8;
+        return cfg;
+    };
+
+    // Cosine k-NN at issue width 4: multi-beat jobs locked to lanes.
+    {
+        const auto cloud = makePointCloud(600, 16, 8, 21);
+        const KnnIndex index = buildKnnIndex(cloud);
+        std::vector<KnnQuery> queries;
+        for (DataPoint &p : makePointCloud(32, 16, 8, 22))
+            queries.push_back({std::move(p.coords), 4, KnnMetric::Cosine});
+        std::vector<KnnResult> out(queries.size());
+        std::vector<sim::KnnBatchRef> refs;
+        for (size_t i = 0; i < queries.size(); ++i)
+            refs.push_back({&queries[i], &out[i]});
+        sim::EngineConfig cfg = traced(4);
+        cfg.dp = core::kExtendedUnified;
+        cfg.rt.mshrs = 16;
+        const sim::BatchResult res =
+            sim::BatchExecutor(index, sim::Engine(cfg).executorConfig())
+                .executeKnnBatch(refs.data(), refs.size());
+        expectPinned(res.trace, res.unit,
+                     {24674u, 15872620722050532724ull, 16710u,
+                      {38400, 28392, 0, 0, 0, 0, 44, 4},
+                      {0, 0, 0, 38400}});
+    }
+    // Any-hit 8-wide packets at issue width 4.
+    {
+        sim::EngineConfig cfg = traced(4);
+        cfg.any_hit = true;
+        cfg.rt.packet.width = 8;
+        cfg.rt.ray_buffer_entries = 32 * 8;
+        const sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+        expectPinned(rep.trace, rep.unit,
+                     {4192u, 422383172729690069ull, 6686u,
+                      {4727, 21123, 0, 0, 0, 0, 874, 20},
+                      {2391, 2336, 0, 0}});
+    }
+    // Scalar at issue width 8.
+    {
+        const sim::EngineReport rep =
+            sim::Engine(traced(8)).run(bvh, rays);
+        expectPinned(rep.trace, rep.unit,
+                     {23524u, 5600964181650999177ull, 6562u,
+                      {4791, 27276, 16277, 0, 0, 0, 4112, 40},
+                      {2435, 2356, 0, 0}});
     }
 }
 

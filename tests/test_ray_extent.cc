@@ -18,6 +18,7 @@
 #include "bvh/rt_unit.hh"
 #include "bvh/scene.hh"
 #include "bvh/traversal.hh"
+#include "core/datapath.hh"
 #include "core/workloads.hh"
 #include "sim/engine.hh"
 
@@ -117,7 +118,7 @@ TEST(RayExtent, RtUnitHonorsLowerBound)
 {
     Bvh4 bvh = twoSlabScene();
     RayFlexDatapath dp(kBaselineUnified);
-    RtUnit unit(bvh, dp);
+    RtUnit unit(bvh, dp.config());
     unit.submit(shadowStyleRay(), 0);
     unit.run();
     const HitRecord &h = unit.results()[0];
@@ -134,7 +135,7 @@ TEST(RayExtent, RtUnitAnyHitModeHonorsLowerBound)
 
     {
         RayFlexDatapath dp(kBaselineUnified);
-        RtUnit unit(bvh, dp, cfg);
+        RtUnit unit(bvh, dp.config(), cfg);
         unit.submit(shadowStyleRay(), 0);
         unit.run();
         // Occluded, and the record carries only the flag.
@@ -142,7 +143,7 @@ TEST(RayExtent, RtUnitAnyHitModeHonorsLowerBound)
     }
     {
         RayFlexDatapath dp(kBaselineUnified);
-        RtUnit unit(bvh, dp, cfg);
+        RtUnit unit(bvh, dp.config(), cfg);
         unit.submit(withExtent(shadowStyleRay(), 2.0f, 3.0f), 0);
         unit.run();
         EXPECT_EQ(unit.results()[0], HitRecord{});

@@ -14,6 +14,7 @@
 #include "bvh/rt_unit.hh"
 #include "bvh/scene.hh"
 #include "bvh/traversal.hh"
+#include "core/datapath.hh"
 #include "core/stages.hh"
 #include "core/workloads.hh"
 #include "sim/engine.hh"
@@ -197,7 +198,7 @@ TEST(SimEngine, HitsMatchUnshardedSingleUnit)
 
     // The unsharded reference: every ray through one RtUnit instance.
     core::RayFlexDatapath dp(kBaselineUnified);
-    RtUnit unit(bvh, dp);
+    RtUnit unit(bvh, dp.config());
     for (uint32_t i = 0; i < rays.size(); ++i)
         unit.submit(rays[i], i);
     RtUnitStats st = unit.run();
@@ -375,6 +376,28 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
                     8);
 }
 
+TEST(SimEngine, UnitRunHangNamesTheCapAndTheUnfinishedItems)
+{
+    // RtUnit::run with a cap no traversal can meet: the error names
+    // max_cycles and how many of the submitted items are unfinished.
+    Bvh4 bvh = testScene();
+    std::vector<Ray> rays = testRays(bvh, 8);
+    RtUnit unit(bvh, kBaselineUnified);
+    for (uint32_t i = 0; i < rays.size(); ++i)
+        unit.submit(rays[i], i);
+    try {
+        unit.run(5);
+        FAIL() << "run() returned with rays still in flight";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("max_cycles (5 cycles)"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(std::to_string(rays.size()) + " item(s)"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
 TEST(SimEngine, LivelockingKnobsFailAtConstruction)
 {
     // A scalar unit with no ray-buffer entries, or one that may issue
@@ -393,7 +416,7 @@ TEST(SimEngine, LivelockingKnobsFailAtConstruction)
              ? rt.ray_buffer_entries
              : rt.mem_requests_per_cycle) = 0;
         try {
-            RtUnit unit(bvh, dp, rt);
+            RtUnit unit(bvh, dp.config(), rt);
             ADD_FAILURE() << knob << " = 0 was accepted";
         } catch (const std::invalid_argument &e) {
             EXPECT_NE(std::string(e.what()).find(knob),
@@ -404,7 +427,8 @@ TEST(SimEngine, LivelockingKnobsFailAtConstruction)
         // zero-entry k-NN unit a slot.
         RtUnitConfig knn_rt = rt;
         knn_rt.packet.width = 8;
-        EXPECT_THROW(RtUnit(index, dp, knn_rt), std::invalid_argument)
+        EXPECT_THROW(RtUnit(index, dp.config(), knn_rt),
+                     std::invalid_argument)
             << knob;
 
         sim::EngineConfig cfg;
