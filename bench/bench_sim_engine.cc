@@ -3,7 +3,7 @@
  * Multi-threaded engine throughput: host-side rays/second of the
  * sharded batch simulation engine (sim::Engine) across worker counts,
  * in both execution models, plus the sharding overhead of the
- * single-thread engine path against the bare single-unit loop, the
+ * single-thread engine path against one unsharded executor batch, the
  * any-hit shadow batches the cycle-accurate RT unit can now time, and
  * the multi-pass scenario path (sim::renderPasses) on the persistent
  * worker pool, and the node-cache scene-size sweep: a fixed-size cache
@@ -35,7 +35,6 @@
 #include <map>
 
 #include "bvh/scene.hh"
-#include "core/datapath.hh"
 #include "core/raygen.hh"
 #include "sim/passes.hh"
 #include "sim/stream.hh"
@@ -130,17 +129,21 @@ BENCHMARK(BM_EngineFunctional)
 static void
 BM_SingleUnitBaseline(benchmark::State &state)
 {
-    // The unsharded path the engine replaces: one RtUnit, every ray in
-    // one submission. Comparing against BM_EngineCycleAccurate/1
-    // isolates the engine's sharding overhead.
+    // The unsharded path the engine replaces: one executor batch of
+    // every ray on one fresh unit, no engine. Comparing against
+    // BM_EngineCycleAccurate/1 isolates the engine's sharding
+    // overhead.
     const Bvh4 &bvh = benchScene();
     auto rays = benchRays(24);
+    std::vector<HitRecord> hits(rays.size());
+    std::vector<sim::BatchRayRef> refs(rays.size());
+    for (size_t i = 0; i < rays.size(); ++i)
+        refs[i] = {&rays[i], &hits[i]};
+    const sim::BatchExecutor exec(bvh, sim::ExecutorConfig{});
     for (auto _ : state) {
-        RayFlexDatapath dp(kBaselineUnified);
-        RtUnit unit(bvh, dp.config());
-        for (uint32_t i = 0; i < rays.size(); ++i)
-            unit.submit(rays[i], i);
-        benchmark::DoNotOptimize(unit.run().cycles);
+        sim::BatchResult res =
+            exec.executeBatch(refs.data(), refs.size(), false);
+        benchmark::DoNotOptimize(res.unit.cycles);
     }
     state.SetItemsProcessed(int64_t(state.iterations()) *
                             int64_t(rays.size()));

@@ -19,14 +19,6 @@ NodeCache::NodeCache(const NodeCacheConfig &cfg) : cfg_(cfg)
     lines_.resize(size_t(cfg_.sets) * cfg_.ways);
 }
 
-void
-NodeCache::reset()
-{
-    lines_.assign(lines_.size(), Line{});
-    tick_ = 0;
-    stats_ = {};
-}
-
 bool
 NodeCache::touchLine(uint64_t line)
 {
@@ -141,18 +133,6 @@ SharedL2::SharedL2(const L2Config &cfg) : cfg_(cfg)
     for (Bank &b : banks_)
         b.lines.resize(size_t(cfg_.sets) * cfg_.ways);
     stats_.resize(n_banks);
-}
-
-void
-SharedL2::reset()
-{
-    for (Bank &b : banks_) {
-        b.lines.assign(b.lines.size(), Line{});
-        b.inflight.clear();
-        b.free_at = 0;
-        b.tick = 0;
-    }
-    stats_.assign(stats_.size(), L2Stats{});
 }
 
 L2Stats

@@ -195,7 +195,7 @@ class MshrFile
     /** The in-flight entry matching `addr`, or nullptr. Like
      *  inflightCompletion but with the phase boundaries along — what a
      *  merged requester copies into its own request record. The
-     *  pointer is invalidated by the next allocate/retire/reset. */
+     *  pointer is invalidated by the next allocate/retire. */
     const Entry *
     lookup(uint64_t addr) const
     {
@@ -235,9 +235,6 @@ class MshrFile
             return e.done_cycle <= now;
         });
     }
-
-    /** Drop all in-flight entries (start of an RtUnit::run). */
-    void reset() { inflight_.clear(); }
 
   private:
     unsigned entries_;
@@ -388,14 +385,11 @@ class SharedL2
      *  owned; outlives the runs it observes. */
     void setTraceSink(obs::TraceSink *sink) { trace_ = sink; }
 
-    /** Per-bank counters accumulated since construction or reset(). */
+    /** Per-bank counters accumulated since construction. */
     const std::vector<L2Stats> &bankStats() const { return stats_; }
 
     /** Sum of the per-bank counters. */
     L2Stats totals() const;
-
-    /** Drop all cached state and counters. */
-    void reset();
 
     const L2Config &config() const { return cfg_; }
 
@@ -525,12 +519,9 @@ class MemoryModel
         (void)unit;
     }
 
-    /** Counters accumulated since construction or the last reset().
-     *  Backends without cache state report all-zero stats. */
+    /** Counters accumulated since construction. Backends without
+     *  cache state report all-zero stats. */
     virtual CacheStats stats() const { return {}; }
-
-    /** Drop all cached state and counters (start of an RtUnit::run). */
-    virtual void reset() {}
 };
 
 /** The original flat-latency backend: every access costs the same.
@@ -586,7 +577,6 @@ class NodeCache final : public MemoryModel
         unit_ = unit;
     }
     CacheStats stats() const override { return stats_; }
-    void reset() override;
 
     const NodeCacheConfig &config() const { return cfg_; }
 

@@ -102,8 +102,7 @@ RtUnitConfig::normalized() const
 
 RtUnit::RtUnit(const Bvh4 &bvh, const core::DatapathConfig &dp,
                const RtUnitConfig &cfg)
-    : pipeline::Component("rt-unit"), bvh_(bvh), dp_(dp),
-      cfg_(cfg.normalized()),
+    : bvh_(bvh), dp_(dp), cfg_(cfg.normalized()),
       mem_(makeMemoryModel(cfg_.mem_backend, cfg_.mem_latency,
                            cfg_.cache)),
       mshrs_(cfg.mshrs),
@@ -323,7 +322,7 @@ RtUnit::submitKnn(const KnnQuery &query, uint32_t query_id)
 // ---------------------------------------------------------------------
 
 void
-RtUnit::publish(uint64_t)
+RtUnit::publish()
 {
     // Offer one beat per lane from the first ready slots (round-robin
     // would be fairer; first-ready is sufficient for utilization
@@ -360,12 +359,11 @@ RtUnit::publish(uint64_t)
 void
 RtUnit::advance(uint64_t cycle)
 {
-    // A finished unit idles: in chip mode the shared simulator keeps
-    // ticking until the slowest unit drains, and a done unit must stop
-    // accumulating cycles/idle-slot counters (its per-unit `cycles` is
-    // the cycle its own work completed). Unreachable under run(),
-    // whose loop stops at outstanding_ == 0.
-    if (done())
+    // A finished unit idles: the chip keeps stepping until its slowest
+    // unit drains, and a done unit must stop accumulating cycles and
+    // idle-slot counters (its per-unit `cycles` is the cycle its own
+    // work completed).
+    if (outstanding_ == 0)
         return;
     now_ = cycle;
     ++stats_.cycles;
@@ -1022,50 +1020,11 @@ RtUnit::handleKnnResult(const core::DatapathOutput &out)
 // Run control
 // ---------------------------------------------------------------------
 
-void
-RtUnit::registerWith(pipeline::Simulator &sim)
-{
-    sim.add(this);
-}
-
-void
-RtUnit::beginRun()
-{
-    stats_ = {};
-    mshrs_.reset();
-    mshr_refused_ = false;
-    trace_occupancy_last_ = ~uint64_t(0);
-    std::fill(lanes_.begin(), lanes_.end(), Lane{});
-    beats_in_flight_ = 0;
-    std::fill(knn_lane_.begin(), knn_lane_.end(), KnnLaneJob{});
-    mem_->reset(); // cold cache per run: runs are reproducible
-}
-
 RtUnitStats
 RtUnit::endRun()
 {
     stats_.mem = mem_->stats();
-    if (outstanding_ > 0)
-        throw std::runtime_error("RtUnit::endRun: " +
-                                 std::to_string(outstanding_) +
-                                 " item(s) still outstanding");
     return stats_;
-}
-
-RtUnitStats
-RtUnit::run(uint64_t max_cycles)
-{
-    pipeline::Simulator sim;
-    registerWith(sim);
-    beginRun();
-    while (outstanding_ > 0 && stats_.cycles < max_cycles)
-        sim.tick();
-    if (outstanding_ > 0)
-        throw std::runtime_error(
-            "RtUnit::run: " + std::to_string(outstanding_) +
-            " item(s) did not finish within max_cycles (" +
-            std::to_string(max_cycles) + " cycles)");
-    return endRun();
 }
 
 } // namespace rayflex::bvh

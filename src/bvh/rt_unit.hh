@@ -43,7 +43,6 @@
 #include "core/stages.hh"
 #include "obs/slot_accounting.hh"
 #include "obs/trace.hh"
-#include "pipeline/component.hh"
 
 namespace rayflex::bvh
 {
@@ -226,14 +225,15 @@ struct RtUnitStats
  * The RT unit: traverses a BVH for a batch of rays on issue_width
  * RayFlex datapath lanes built from one DatapathConfig.
  */
-class RtUnit : public pipeline::Component
+class RtUnit
 {
   public:
     /** The unit runs cfg.normalized() (which may throw) over a
-     *  private MemoryModel that every run() starts cold, on lanes of
-     *  the datapath `dp` describes.
-     *  @throws std::invalid_argument from run()/advance() when a lane
-     *          is offered an opcode `dp` does not implement (the same
+     *  private, cold MemoryModel, on lanes of the datapath `dp`
+     *  describes. A unit serves one run: sim::BatchExecutor builds
+     *  fresh units for every batch and steps them.
+     *  @throws std::invalid_argument from advance() when a lane is
+     *          offered an opcode `dp` does not implement (the same
      *          error the ticked pipeline's stage 1 raises). */
     RtUnit(const Bvh4 &bvh, const core::DatapathConfig &dp,
            const RtUnitConfig &cfg = {});
@@ -254,6 +254,11 @@ class RtUnit : public pipeline::Component
      */
     RtUnit(const KnnIndex &index, const core::DatapathConfig &dp,
            const RtUnitConfig &cfg = {});
+
+    /** Packet slots hold pointers into the unit's own stats, so a unit
+     *  is never copied or moved. */
+    RtUnit(const RtUnit &) = delete;
+    RtUnit &operator=(const RtUnit &) = delete;
 
     /** Queue a k-NN query (k-NN mode only); the result appears at
      *  knnResults()[query_id]. */
@@ -276,7 +281,7 @@ class RtUnit : public pipeline::Component
     /** Route this unit's L1 misses through a chip-level shared L2 as
      *  unit `unit_id` on the ring (sim::Engine chip mode). Forwards to
      *  MemoryModel::attachNextLevel; backends without a second-tier
-     *  path (FixedLatency) ignore it. Call before run()/beginRun(). */
+     *  path (FixedLatency) ignore it. Call before the first cycle. */
     void
     attachSharedL2(SharedL2 *l2, unsigned unit_id)
     {
@@ -286,7 +291,7 @@ class RtUnit : public pipeline::Component
     /** Emit cycle-stamped fetch/MSHR/packet events to `sink` as unit
      *  `unit_id` (nullptr — the default state — disables emission; the
      *  seam idiom of obs/trace.hh). Borrowed, not owned. Call before
-     *  run()/beginRun(); tracing never changes timing or counters. */
+     *  the first cycle; tracing never changes timing or counters. */
     void
     attachTrace(obs::TraceSink *sink, unsigned unit_id)
     {
@@ -294,34 +299,28 @@ class RtUnit : public pipeline::Component
         trace_unit_ = unit_id;
     }
 
-    /** Run the unit until all submitted rays complete.
-     *  @return statistics for the run.
-     *  @throws std::runtime_error naming max_cycles and the number of
-     *          unfinished items when they do not complete within
-     *          max_cycles cycles. */
-    RtUnitStats run(uint64_t max_cycles = 100000000ull);
-
     /**
-     * Lock-step chip API: run() decomposed so N units can share one
-     * pipeline::Simulator and tick together over a shared L2.
-     * registerWith() registers the unit (its lanes are part of it);
-     * beginRun() resets per-run state (run()'s preamble); done() is
-     * true when every submitted ray completed; endRun() finalizes and
-     * returns the stats (run()'s postamble — throws if rays remain).
-     * run() itself is exactly registerWith + beginRun + tick-until-done
-     * + endRun on a private simulator.
+     * One clock cycle is publish() then advance(cycle); a chip steps
+     * all its units' publish() before any unit's advance(), in unit
+     * order (sim/executor.cc's batch runner; nothing else steps a
+     * unit). publish() offers one beat per lane from the ready slots;
+     * advance() accepts them, delivers the beats due this cycle,
+     * serves memory and admits queued work. A unit whose items all
+     * completed ignores advance(), so its `cycles` stop where its own
+     * work ended.
      */
-    void registerWith(pipeline::Simulator &sim);
-    void beginRun();
-    bool done() const { return outstanding_ == 0; }
+    void publish();
+    void advance(uint64_t cycle);
+
+    /** Submitted items (rays or k-NN queries) not yet completed. */
+    size_t outstanding() const { return outstanding_; }
+
+    /** The run's statistics, with the L1 counters folded in. */
     RtUnitStats endRun();
 
     /** Results in ray-id order (parallel to submissions). In
      *  TraversalMode::Any only the `hit` flag is meaningful. */
     const std::vector<HitRecord> &results() const { return results_; }
-
-    void publish(uint64_t cycle) override;
-    void advance(uint64_t cycle) override;
 
   private:
     enum class EntryState : uint8_t {

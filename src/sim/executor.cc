@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bvh/traversal.hh"
-#include "pipeline/component.hh"
 
 namespace rayflex::sim
 {
@@ -40,12 +39,13 @@ BatchExecutor::BatchExecutor(const bvh::KnnIndex &index,
 namespace
 {
 
-/** The one cycle-accurate runner, for ray and k-NN batches at every
- *  unit count: build cfg.chip.clampedUnits() fresh units over `source`
- *  (a Bvh4 or a KnnIndex) with cfg.dp lanes, attach the L2 tier
- *  and the trace sink, hand item k to unit k % units as local id
- *  k / units (`submit`), tick until every unit is done, then merge
- *  the stats and scatter the results (`gather`). */
+/** The one cycle-accurate runner and the only code that steps an
+ *  RtUnit, for ray and k-NN batches at every unit count: build
+ *  cfg.chip.clampedUnits() fresh units over `source` (a Bvh4 or a
+ *  KnnIndex) with cfg.dp lanes, attach the L2 tier and the trace sink,
+ *  hand item k to unit k % units as local id k / units (`submit`),
+ *  step the units until no item is outstanding, then merge the stats
+ *  and scatter the results (`gather`). */
 template <class Source, class Submit, class Gather>
 BatchResult
 runChip(const ExecutorConfig &cfg, const Source &source,
@@ -89,29 +89,29 @@ runChip(const ExecutorConfig &cfg, const Source &source,
     for (size_t k = 0; k < n; ++k)
         submit(*us[k % units], k, uint32_t(k / units));
 
-    pipeline::Simulator sim;
-    for (auto &u : us)
-        u->registerWith(sim);
-    for (auto &u : us)
-        u->beginRun();
-
-    const auto all_done = [&us] {
+    const auto outstanding = [&us] {
+        size_t left = 0;
         for (const auto &u : us)
-            if (!u->done())
-                return false;
-        return true;
+            left += u->outstanding();
+        return left;
     };
+    // One cycle: every unit publishes, then every unit advances, in
+    // unit order (the order the trace pins depend on).
     uint64_t ticks = 0;
-    while (!all_done() && ticks < cfg.max_cycles_per_batch) {
-        sim.tick();
+    while (outstanding() > 0 && ticks < cfg.max_cycles_per_batch) {
+        for (auto &u : us)
+            u->publish();
+        for (auto &u : us)
+            u->advance(ticks);
         ++ticks;
     }
-    if (!all_done())
+    if (const size_t left = outstanding())
         throw std::runtime_error(
             "BatchExecutor: a batch of " + std::to_string(n) +
             " items on " + std::to_string(units) +
             " unit(s) did not finish within max_cycles_per_batch (" +
-            std::to_string(cfg.max_cycles_per_batch) + " cycles)");
+            std::to_string(cfg.max_cycles_per_batch) + " cycles): " +
+            std::to_string(left) + " item(s) unfinished");
 
     BatchResult res;
     for (auto &u : us)

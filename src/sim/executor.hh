@@ -64,8 +64,9 @@ enum class L2Mode : uint8_t {
 inline constexpr unsigned kMaxChipUnits = 16;
 
 /** The chip every CycleAccurate batch runs on. Each batch is run by
- *  `units` RT units stepping in deterministic lock-step under one
- *  pipeline::Simulator: item i of the batch goes to unit i % units.
+ *  `units` RT units stepping in deterministic lock-step (per cycle,
+ *  every unit's publish() and then every unit's advance(), in unit
+ *  order): item i of the batch goes to unit i % units.
  *  The chip is freshly constructed per batch, so sharing is confined
  *  within a batch and the engine's bit-identical-at-every-worker-count
  *  contract holds for hits, timing and every L2 counter. The defaults

@@ -6,13 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
 #include "bvh/builder.hh"
 #include "bvh/rt_unit.hh"
 #include "bvh/scene.hh"
 #include "bvh/traversal.hh"
-#include "core/datapath.hh"
+#include "sim/engine.hh"
 
 using namespace rayflex::bvh;
 using namespace rayflex::core;
@@ -39,6 +40,19 @@ randomRay(std::mt19937_64 &rng)
     if (dx == 0 && dy == 0 && dz == 0)
         dx = 1;
     return makeRay(p(rng), p(rng), p(rng), dx, dy, dz, 0.0f, 100.0f);
+}
+
+/** Every ray through one fresh baseline RT unit: a one-batch,
+ *  one-worker engine run. */
+rayflex::sim::EngineReport
+runOneUnit(const Bvh4 &bvh, const std::vector<rayflex::core::Ray> &rays,
+           const RtUnitConfig &rt = {})
+{
+    rayflex::sim::EngineConfig cfg;
+    cfg.threads = 1;
+    cfg.batch_size = 0;
+    cfg.rt = rt;
+    return rayflex::sim::Engine(cfg).run(bvh, rays);
 }
 
 } // namespace
@@ -158,22 +172,24 @@ TEST(Traversal, RespectsRayExtent)
 TEST(RtUnit, MatchesFunctionalTraversal)
 {
     Bvh4 bvh = buildBvh4(smallScene(17));
-    RayFlexDatapath dp(kBaselineUnified);
-    RtUnit unit(bvh, dp.config());
-
     std::mt19937_64 rng(77);
     std::vector<rayflex::core::Ray> rays;
-    for (uint32_t i = 0; i < 64; ++i) {
+    for (uint32_t i = 0; i < 64; ++i)
         rays.push_back(randomRay(rng));
-        unit.submit(rays.back(), i);
-    }
-    RtUnitStats stats = unit.run();
+    rayflex::sim::EngineReport rep = runOneUnit(bvh, rays);
+    const RtUnitStats &stats = rep.unit;
     EXPECT_EQ(stats.rays_completed, 64u);
+    // The unit's timing is pinned: cycles, beats and every slot bucket.
+    EXPECT_EQ(stats.cycles, 733u);
+    EXPECT_EQ(stats.datapath_beats, 329u);
+    const std::array<uint64_t, rayflex::obs::kSlotBuckets> slots = {
+        329, 253, 0, 0, 0, 0, 150, 1};
+    EXPECT_EQ(stats.slots.buckets, slots);
 
     Traverser ref(bvh);
     for (uint32_t i = 0; i < 64; ++i) {
         HitRecord want = ref.closestHit(rays[i]);
-        const HitRecord &got = unit.results()[i];
+        const HitRecord &got = rep.hits[i];
         ASSERT_EQ(got.hit, want.hit) << "ray " << i;
         if (want.hit) {
             ASSERT_EQ(got.triangle_id, want.triangle_id) << "ray " << i;
@@ -191,13 +207,9 @@ TEST(RtUnit, UtilizationImprovesWithMoreRaysInFlight)
         rays.push_back(randomRay(rng));
 
     auto run_with = [&](unsigned entries) {
-        RayFlexDatapath dp(kBaselineUnified);
         RtUnitConfig cfg;
         cfg.ray_buffer_entries = entries;
-        RtUnit unit(bvh, dp.config(), cfg);
-        for (uint32_t i = 0; i < rays.size(); ++i)
-            unit.submit(rays[i], i);
-        return unit.run();
+        return runOneUnit(bvh, rays, cfg).unit;
     };
 
     RtUnitStats one = run_with(1);
@@ -215,13 +227,9 @@ TEST(RtUnit, MemoryLatencyCostsCycles)
         rays.push_back(randomRay(rng));
 
     auto run_with = [&](unsigned latency) {
-        RayFlexDatapath dp(kBaselineUnified);
         RtUnitConfig cfg;
         cfg.mem_latency = latency;
-        RtUnit unit(bvh, dp.config(), cfg);
-        for (uint32_t i = 0; i < rays.size(); ++i)
-            unit.submit(rays[i], i);
-        return unit.run();
+        return runOneUnit(bvh, rays, cfg).unit;
     };
 
     RtUnitStats fast = run_with(2);

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
 #include "bvh/builder.hh"
@@ -17,6 +18,7 @@
 #include "core/datapath.hh"
 #include "core/workloads.hh"
 #include "pipeline/drivers.hh"
+#include "sim/engine.hh"
 
 using namespace rayflex::bvh;
 using namespace rayflex::core;
@@ -90,11 +92,12 @@ TEST(Integration, RtUnitAgreesWithTraverserOnRealScene)
     Bvh4 bvh = buildBvh4(tris);
     Traverser ref(bvh);
 
-    RayFlexDatapath dp(kExtendedUnified); // extended also runs box/tri
-    RtUnitConfig cfg;
-    cfg.ray_buffer_entries = 8;
-    cfg.mem_latency = 7;
-    RtUnit unit(bvh, dp.config(), cfg);
+    rayflex::sim::EngineConfig cfg; // one fresh unit, one batch
+    cfg.threads = 1;
+    cfg.batch_size = 0;
+    cfg.dp = kExtendedUnified; // extended also runs box/tri
+    cfg.rt.ray_buffer_entries = 8;
+    cfg.rt.mem_latency = 7;
 
     Camera cam;
     cam.eye = {5, 4, 6};
@@ -104,14 +107,19 @@ TEST(Integration, RtUnitAgreesWithTraverserOnRealScene)
     for (unsigned y = 0; y < cam.height; ++y)
         for (unsigned x = 0; x < cam.width; ++x)
             rays.push_back(cam.primaryRay(x, y, 100.0f));
-    for (uint32_t i = 0; i < rays.size(); ++i)
-        unit.submit(rays[i], i);
-    RtUnitStats st = unit.run();
+    rayflex::sim::EngineReport rep = rayflex::sim::Engine(cfg).run(bvh, rays);
+    const RtUnitStats &st = rep.unit;
     EXPECT_EQ(st.rays_completed, rays.size());
+    // The unit's timing is pinned: cycles, beats and every slot bucket.
+    EXPECT_EQ(st.cycles, 3971u);
+    EXPECT_EQ(st.datapath_beats, 1900u);
+    const std::array<uint64_t, rayflex::obs::kSlotBuckets> slots = {
+        1900, 1875, 0, 0, 0, 0, 195, 1};
+    EXPECT_EQ(st.slots.buckets, slots);
 
     for (uint32_t i = 0; i < rays.size(); ++i) {
         HitRecord want = ref.closestHit(rays[i]);
-        const HitRecord &got = unit.results()[i];
+        const HitRecord &got = rep.hits[i];
         ASSERT_EQ(got.hit, want.hit) << "ray " << i;
         if (want.hit) {
             ASSERT_EQ(got.triangle_id, want.triangle_id) << "ray " << i;

@@ -133,10 +133,6 @@ TEST(MshrFile, MergesDuplicatesAndBoundsOutstanding)
     EXPECT_EQ(file.inflightCompletion(256), 0u);
     EXPECT_EQ(file.inflightCompletion(128), 30u);
 
-    file.reset();
-    EXPECT_EQ(file.inflightCompletion(128), 0u);
-    EXPECT_FALSE(file.full());
-
     // Entry count 0 disables the file (the legacy unbounded path).
     EXPECT_FALSE(MshrFile(0).enabled());
 }
@@ -221,11 +217,6 @@ TEST(NodeCache, HitsMissesAndLruEviction)
     EXPECT_EQ(cache.access(0, 4), 2u);    // line 0 survived
     EXPECT_EQ(cache.access(64, 4), 20u);  // line 1 was the victim
     EXPECT_EQ(cache.stats(), (CacheStats{2, 4, 2}));
-
-    // reset() drops contents and counters: line 0 misses again.
-    cache.reset();
-    EXPECT_EQ(cache.stats(), CacheStats{});
-    EXPECT_EQ(cache.access(0, 4), 20u);
 }
 
 TEST(NodeCache, AccessSpanningLinesTouchesEachLine)

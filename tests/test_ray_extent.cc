@@ -18,7 +18,6 @@
 #include "bvh/rt_unit.hh"
 #include "bvh/scene.hh"
 #include "bvh/traversal.hh"
-#include "core/datapath.hh"
 #include "core/workloads.hh"
 #include "sim/engine.hh"
 
@@ -63,6 +62,17 @@ Ray
 shadowStyleRay()
 {
     return makeRay(0, 0, 0, 0, 0, 1, 2.0f, 100.0f);
+}
+
+/** `ray` alone through one fresh baseline RT unit (a one-batch,
+ *  one-worker engine run), in any-hit mode when `any_hit`. */
+HitRecord
+runOneUnit(const Bvh4 &bvh, const Ray &ray, bool any_hit)
+{
+    sim::EngineConfig cfg;
+    cfg.threads = 1;
+    cfg.batch_size = 0;
+    return sim::Engine(cfg).run(bvh, {ray}, any_hit).hits[0];
 }
 
 } // namespace
@@ -117,11 +127,7 @@ TEST(RayExtent, AnyHitHonorsLowerBound)
 TEST(RayExtent, RtUnitHonorsLowerBound)
 {
     Bvh4 bvh = twoSlabScene();
-    RayFlexDatapath dp(kBaselineUnified);
-    RtUnit unit(bvh, dp.config());
-    unit.submit(shadowStyleRay(), 0);
-    unit.run();
-    const HitRecord &h = unit.results()[0];
+    const HitRecord h = runOneUnit(bvh, shadowStyleRay(), false);
     ASSERT_TRUE(h.hit);
     EXPECT_EQ(h.triangle_id, 1u);
     EXPECT_GE(h.t, 2.0f);
@@ -130,24 +136,11 @@ TEST(RayExtent, RtUnitHonorsLowerBound)
 TEST(RayExtent, RtUnitAnyHitModeHonorsLowerBound)
 {
     Bvh4 bvh = twoSlabScene();
-    RtUnitConfig cfg;
-    cfg.mode = TraversalMode::Any;
-
-    {
-        RayFlexDatapath dp(kBaselineUnified);
-        RtUnit unit(bvh, dp.config(), cfg);
-        unit.submit(shadowStyleRay(), 0);
-        unit.run();
-        // Occluded, and the record carries only the flag.
-        EXPECT_EQ(unit.results()[0], HitRecord{true});
-    }
-    {
-        RayFlexDatapath dp(kBaselineUnified);
-        RtUnit unit(bvh, dp.config(), cfg);
-        unit.submit(withExtent(shadowStyleRay(), 2.0f, 3.0f), 0);
-        unit.run();
-        EXPECT_EQ(unit.results()[0], HitRecord{});
-    }
+    // Occluded, and the record carries only the flag.
+    EXPECT_EQ(runOneUnit(bvh, shadowStyleRay(), true), HitRecord{true});
+    EXPECT_EQ(runOneUnit(bvh, withExtent(shadowStyleRay(), 2.0f, 3.0f),
+                         true),
+              HitRecord{});
 }
 
 TEST(RayExtent, BothEngineModelsHonorLowerBound)

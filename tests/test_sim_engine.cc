@@ -196,23 +196,24 @@ TEST(SimEngine, HitsMatchUnshardedSingleUnit)
     Bvh4 bvh = testScene();
     std::vector<Ray> rays = testRays(bvh, 16);
 
-    // The unsharded reference: every ray through one RtUnit instance.
-    core::RayFlexDatapath dp(kBaselineUnified);
-    RtUnit unit(bvh, dp.config());
-    for (uint32_t i = 0; i < rays.size(); ++i)
-        unit.submit(rays[i], i);
-    RtUnitStats st = unit.run();
+    // The unsharded reference: every ray through one RtUnit instance
+    // (a single batch on a single worker).
+    sim::EngineConfig one;
+    one.threads = 1;
+    one.batch_size = 0;
+    sim::EngineReport ref = sim::Engine(one).run(bvh, rays);
+    ASSERT_EQ(ref.batches, 1u);
 
     sim::EngineConfig cfg;
     cfg.threads = 4;
     cfg.batch_size = 37;
     sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
     for (size_t i = 0; i < rays.size(); ++i)
-        ASSERT_TRUE(bitIdentical(rep.hits[i], unit.results()[i])) << i;
+        ASSERT_TRUE(bitIdentical(rep.hits[i], ref.hits[i])) << i;
     // Work counters that do not depend on batch interleaving also
     // agree; cycle counts legitimately differ with the batch layout.
-    EXPECT_EQ(rep.unit.rays_completed, st.rays_completed);
-    EXPECT_EQ(rep.unit.datapath_beats, st.datapath_beats);
+    EXPECT_EQ(rep.unit.rays_completed, ref.unit.rays_completed);
+    EXPECT_EQ(rep.unit.datapath_beats, ref.unit.datapath_beats);
 }
 
 TEST(SimEngine, BatchLayoutDoesNotChangeHits)
@@ -316,11 +317,11 @@ TEST(SimEngine, AnyHitMode)
 }
 
 /** Runs `run`, which must throw the batch runner's hang error: a
- *  std::runtime_error naming max_cycles_per_batch, the unit count and
- *  the batch's item count. */
+ *  std::runtime_error naming max_cycles_per_batch, the unit count,
+ *  the batch's item count and how many of its items are unfinished. */
 template <class Run>
 void
-expectBatchHang(Run run, unsigned units, size_t items)
+expectBatchHang(Run run, unsigned units, size_t items, size_t unfinished)
 {
     try {
         run();
@@ -333,6 +334,10 @@ expectBatchHang(Run run, unsigned units, size_t items)
                   std::string::npos)
             << msg;
         EXPECT_NE(msg.find(std::to_string(items) + " items"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find(std::to_string(unfinished) +
+                           " item(s) unfinished"),
                   std::string::npos)
             << msg;
     }
@@ -353,10 +358,19 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
     cfg.batch_size = 8; // 4 batches for 32 rays: all 4 workers draft
     cfg.max_cycles_per_batch = 10;
     sim::Engine engine(cfg);
-    expectBatchHang([&] { engine.run(bvh, rays); }, 1, 8);
+    expectBatchHang([&] { engine.run(bvh, rays); }, 1, 8, 8);
     // The persistent worker pool survives a failed run and serves the
     // next one.
-    expectBatchHang([&] { engine.run(bvh, rays); }, 1, 8);
+    expectBatchHang([&] { engine.run(bvh, rays); }, 1, 8, 8);
+
+    // A cap some items can meet: the message counts only the items
+    // still unfinished when it ran out.
+    sim::EngineConfig part;
+    part.threads = 1;
+    part.batch_size = 0;
+    part.max_cycles_per_batch = 800;
+    expectBatchHang([&] { sim::Engine(part).run(bvh, rays); }, 1, 288,
+                    253);
 
     // Every cycle-accurate batch goes through the same runner, so a
     // 4-unit shared-L2 chip and a k-NN batch hang the same way.
@@ -364,7 +378,7 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
     chip.rt.mem_backend = MemBackend::NodeCache;
     chip.chip.units = 4;
     chip.chip.l2 = sim::L2Mode::Shared;
-    expectBatchHang([&] { sim::Engine(chip).run(bvh, rays); }, 4, 8);
+    expectBatchHang([&] { sim::Engine(chip).run(bvh, rays); }, 4, 8, 8);
 
     const KnnIndex index = buildKnnIndex(makePointCloud(200, 8, 4, 5));
     std::vector<KnnQuery> queries;
@@ -373,29 +387,7 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
     sim::EngineConfig knn = cfg;
     knn.dp = core::kExtendedUnified;
     expectBatchHang([&] { sim::Engine(knn).runKnn(index, queries); }, 1,
-                    8);
-}
-
-TEST(SimEngine, UnitRunHangNamesTheCapAndTheUnfinishedItems)
-{
-    // RtUnit::run with a cap no traversal can meet: the error names
-    // max_cycles and how many of the submitted items are unfinished.
-    Bvh4 bvh = testScene();
-    std::vector<Ray> rays = testRays(bvh, 8);
-    RtUnit unit(bvh, kBaselineUnified);
-    for (uint32_t i = 0; i < rays.size(); ++i)
-        unit.submit(rays[i], i);
-    try {
-        unit.run(5);
-        FAIL() << "run() returned with rays still in flight";
-    } catch (const std::runtime_error &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("max_cycles (5 cycles)"), std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find(std::to_string(rays.size()) + " item(s)"),
-                  std::string::npos)
-            << msg;
-    }
+                    8, 8);
 }
 
 TEST(SimEngine, LivelockingKnobsFailAtConstruction)
