@@ -5,7 +5,6 @@
 #include "bvh/knn.hh"
 
 #include <algorithm>
-#include <queue>
 #include <stdexcept>
 
 namespace rayflex::bvh
@@ -91,6 +90,16 @@ knnJobBeats(const float *query, const float *candidate, size_t dims,
     return beats;
 }
 
+float
+knnJobScore(const core::DatapathOutput &out, KnnMetric metric)
+{
+    return metric == KnnMetric::Euclidean
+               ? fp::fromBits(out.euclidean_accumulator)
+               : core::golden::knnAngularScore(
+                     fp::fromBits(out.angular_dot_product),
+                     fp::fromBits(out.angular_norm));
+}
+
 double
 knnBoxLowerBound(const Aabb &box, const float *query, size_t dims)
 {
@@ -137,11 +146,75 @@ KnnTopK::sorted() const
 namespace
 {
 
-using Frontier =
-    std::priority_queue<KnnFrontierItem, std::vector<KnnFrontierItem>,
-                        KnnFrontierAfter>;
+/** Min-heap order: true when `a` is visited after `b`. */
+bool
+visitedAfter(const KnnFrontier::Item &a, const KnnFrontier::Item &b)
+{
+    return a.lb != b.lb ? a.lb > b.lb : a.seq > b.seq;
+}
 
 } // namespace
+
+void
+KnnFrontier::push(const Item &item)
+{
+    heap_.push_back(item);
+    std::push_heap(heap_.begin(), heap_.end(), visitedAfter);
+}
+
+void
+KnnFrontier::notePeak(KnnStats &stats) const
+{
+    if (heap_.size() > stats.frontier_peak)
+        stats.frontier_peak = heap_.size();
+}
+
+void
+KnnFrontier::start(KnnStats &stats)
+{
+    heap_.clear();
+    seq_ = 0;
+    push({0.0, false, 0, 0, seq_++});
+    notePeak(stats);
+}
+
+bool
+KnnFrontier::pop(bool prune, const KnnTopK &topk, KnnStats &stats,
+                 Item *item)
+{
+    if (heap_.empty())
+        return false;
+    std::pop_heap(heap_.begin(), heap_.end(), visitedAfter);
+    *item = heap_.back();
+    heap_.pop_back();
+    if (prune && topk.full() && knnPrunable(item->lb, topk.radius())) {
+        stats.pruned += 1 + heap_.size();
+        heap_.clear();
+        return false;
+    }
+    return true;
+}
+
+void
+KnnFrontier::expand(const WideNode &node, const float *query,
+                    size_t dims, bool prune, const KnnTopK &topk,
+                    KnnStats &stats)
+{
+    ++stats.nodes_visited;
+    for (const WideNode::Child &c : node.child) {
+        if (c.kind == WideNode::Kind::Empty)
+            continue;
+        const double lb =
+            prune ? knnBoxLowerBound(c.bounds, query, dims) : 0.0;
+        if (prune && topk.full() && knnPrunable(lb, topk.radius())) {
+            ++stats.pruned;
+            continue;
+        }
+        push({lb, c.kind == WideNode::Kind::Leaf, c.index, c.count,
+              seq_++});
+    }
+    notePeak(stats);
+}
 
 KnnResult
 KnnTraversal::search(const KnnQuery &query)
@@ -158,47 +231,15 @@ KnnTraversal::search(const KnnQuery &query)
 
     const bool prune = query.metric == KnnMetric::Euclidean;
     const float *q = query.point.data();
+    const size_t beats = knnBeatsPerJob(index_.dims, query.metric);
 
-    Frontier frontier;
-    uint64_t seq = 0;
-    if (!index_.bvh.nodes.empty())
-        frontier.push({0.0, false, 0, 0, seq++});
-
-    auto note_peak = [&] {
-        if (frontier.size() > stats_.frontier_peak)
-            stats_.frontier_peak = frontier.size();
-    };
-    note_peak();
-
-    while (!frontier.empty()) {
-        KnnFrontierItem item = frontier.top();
-        frontier.pop();
-        if (prune && topk.full() &&
-            knnPrunable(item.lb, topk.radius())) {
-            // The frontier is ordered by lower bound: once the best
-            // remaining item is prunable, so is everything behind it.
-            stats_.pruned += 1 + frontier.size();
-            break;
-        }
+    KnnFrontier frontier;
+    frontier.start(stats_);
+    KnnFrontier::Item item;
+    while (frontier.pop(prune, topk, stats_, &item)) {
         if (!item.is_leaf) {
-            ++stats_.nodes_visited;
-            const WideNode &node = index_.bvh.nodes[item.index];
-            for (const WideNode::Child &c : node.child) {
-                if (c.kind == WideNode::Kind::Empty)
-                    continue;
-                double lb =
-                    prune ? knnBoxLowerBound(c.bounds, q, index_.dims)
-                          : 0.0;
-                if (prune && topk.full() &&
-                    knnPrunable(lb, topk.radius())) {
-                    ++stats_.pruned;
-                    continue;
-                }
-                frontier.push({lb,
-                               c.kind == WideNode::Kind::Leaf,
-                               c.index, c.count, seq++});
-            }
-            note_peak();
+            frontier.expand(index_.bvh.nodes[item.index], q, index_.dims,
+                            prune, topk, stats_);
             continue;
         }
         ++stats_.leaves_visited;
@@ -207,8 +248,6 @@ KnnTraversal::search(const KnnQuery &query)
             const DataPoint &p =
                 index_.points[index_.bvh.tris[t].id];
             ++stats_.candidates;
-            const size_t beats =
-                knnBeatsPerJob(index_.dims, query.metric);
             stats_.distance_beats += beats;
             core::DatapathOutput out{};
             for (size_t b = 0; b < beats; ++b)
@@ -216,13 +255,7 @@ KnnTraversal::search(const KnnQuery &query)
                     knnJobBeat(q, p.coords.data(), index_.dims,
                                query.metric, p.id, b),
                     acc_);
-            float score =
-                query.metric == KnnMetric::Euclidean
-                    ? fp::fromBits(out.euclidean_accumulator)
-                    : core::golden::knnAngularScore(
-                          fp::fromBits(out.angular_dot_product),
-                          fp::fromBits(out.angular_norm));
-            topk.offer(score, p.id);
+            topk.offer(knnJobScore(out, query.metric), p.id);
         }
     }
 

@@ -165,6 +165,10 @@ std::vector<core::DatapathInput> knnJobBeats(const float *query,
                                              KnnMetric metric,
                                              uint64_t tag);
 
+/** The score of a distance job, read off its final beat's output
+ *  (the accumulated squared distance, or the angular score). */
+float knnJobScore(const core::DatapathOutput &out, KnnMetric metric);
+
 /** Squared point-to-box lower bound in the 3-D proxy space, computed
  *  in double from the FP32 inputs. A true lower bound of every member
  *  point's full-dimension squared distance (missing dimensions only
@@ -185,31 +189,6 @@ knnPrunable(double lb, float radius)
 {
     return lb * (1.0 - kKnnPruneSlack) > double(radius);
 }
-
-/** One frontier entry of the best-first walk: a subtree (or leaf) and
- *  its lower bound. The insertion sequence number breaks lower-bound
- *  ties, so the visit order — and with it every statistic — is a pure
- *  function of the query, never of container internals. Shared by the
- *  functional KnnTraversal and the cycle-accurate RtUnit so the two
- *  walks cannot diverge structurally. */
-struct KnnFrontierItem
-{
-    double lb = 0.0;
-    bool is_leaf = false;
-    uint32_t index = 0; ///< node index, or first-triangle index
-    uint32_t count = 0; ///< triangle count when leaf
-    uint64_t seq = 0;
-};
-
-/** Min-heap comparator: true when `a` is visited after `b`. */
-struct KnnFrontierAfter
-{
-    bool
-    operator()(const KnnFrontierItem &a, const KnnFrontierItem &b) const
-    {
-        return a.lb != b.lb ? a.lb > b.lb : a.seq > b.seq;
-    }
-};
 
 /** Bounded best-k set ordered by (score, id). The kept set is a pure
  *  function of the offered multiset — offer order never matters —
@@ -248,6 +227,51 @@ class KnnTopK
   private:
     size_t k_ = 0;
     std::vector<KnnNeighbor> heap_; ///< max-heap on (score, id)
+};
+
+/**
+ * The best-first frontier of one k-NN query: unvisited subtrees and
+ * leaves in a min-heap on their 3-D lower bound, the insertion
+ * sequence number breaking ties, so the visit order — and with it
+ * every statistic — is a pure function of the query. The functional
+ * KnnTraversal and the cycle-accurate RtUnit both drive it, so the two
+ * walks cannot diverge. `prune` enables radius pruning (Euclidean
+ * queries; cosine has no valid box bound).
+ */
+class KnnFrontier
+{
+  public:
+    /** A subtree (or leaf) and its lower bound. */
+    struct Item
+    {
+        double lb = 0.0;
+        bool is_leaf = false;
+        uint32_t index = 0; ///< node index, or first-triangle index
+        uint32_t count = 0; ///< triangle count when leaf
+        uint64_t seq = 0;
+    };
+
+    /** Start a query at the root node. */
+    void start(KnnStats &stats);
+
+    /** Pop the nearest item into `item`. Once the nearest remaining
+     *  item is prunable, so is everything behind it: the frontier is
+     *  counted into stats.pruned and cleared.
+     *  @return false when no item is left to visit. */
+    bool pop(bool prune, const KnnTopK &topk, KnnStats &stats,
+             Item *item);
+
+    /** Visit internal node `node`: push every non-empty child that
+     *  survives pruning. */
+    void expand(const WideNode &node, const float *query, size_t dims,
+                bool prune, const KnnTopK &topk, KnnStats &stats);
+
+  private:
+    void push(const Item &item);
+    void notePeak(KnnStats &stats) const;
+
+    std::vector<Item> heap_;
+    uint64_t seq_ = 0;
 };
 
 /**

@@ -179,23 +179,10 @@ class MshrFile
         uint64_t queue_until = 0; ///< end of the bank-queue phase
     };
 
-    /** In-flight fill whose target matches `addr`, if any.
-     *  @return completion cycle of the matching entry, or 0. Fills
-     *  complete strictly after their allocation cycle, so 0 is never a
-     *  legal completion and doubles as "no match". */
-    uint64_t
-    inflightCompletion(uint64_t addr) const
-    {
-        for (const Entry &e : inflight_)
-            if (e.addr == addr)
-                return e.done_cycle;
-        return 0;
-    }
-
-    /** The in-flight entry matching `addr`, or nullptr. Like
-     *  inflightCompletion but with the phase boundaries along — what a
-     *  merged requester copies into its own request record. The
-     *  pointer is invalidated by the next allocate/retire. */
+    /** The in-flight entry matching `addr`, or nullptr: its completion
+     *  cycle and phase boundaries are what a merged requester copies
+     *  into its own request record. The pointer is invalidated by the
+     *  next allocate/retire. */
     const Entry *
     lookup(uint64_t addr) const
     {

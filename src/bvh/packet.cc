@@ -198,22 +198,9 @@ core::DatapathInput
 PacketTraversal::makeBeatAt(size_t j, uint64_t tag) const
 {
     const PacketBeat &b = pending_[j];
-    DatapathInput in;
-    in.tag = tag;
-    in.ray = lanes_[b.lane].ray;
-    if (cur_.is_leaf) {
-        in.op = Opcode::RayTriangle;
-        in.tri = bvh_.tris[b.tri].toIoTriangle();
-    } else {
-        in.op = Opcode::RayBox;
-        const WideNode &node = bvh_.nodes[cur_.index];
-        for (int c = 0; c < 4; ++c) {
-            in.boxes[c] = node.child[c].kind == WideNode::Kind::Empty
-                              ? emptySlotBox()
-                              : node.child[c].bounds.toIoBox();
-        }
-    }
-    return in;
+    const core::Ray &ray = lanes_[b.lane].ray;
+    return cur_.is_leaf ? triangleBeat(ray, bvh_.tris[b.tri], tag)
+                        : boxBeat(ray, bvh_.nodes[cur_.index], tag);
 }
 
 PacketBeat
@@ -228,44 +215,21 @@ PacketTraversal::takeBeatAt(size_t j)
 
 void
 PacketTraversal::handleResult(const core::DatapathOutput &out,
-                              const PacketBeat &beat)
+                              const PacketBeat &b)
 {
     assert(outstanding_ > 0);
     --outstanding_;
-    const PacketBeat &b = beat;
     Lane &ln = lanes_[b.lane];
 
     if (out.op == Opcode::RayBox) {
         box_res_[b.lane] = out.box;
-    } else if (!ln.retired) { // drop results for lanes dead mid-leaf
-        const SceneTriangle &tri = bvh_.tris[b.tri];
-        if (out.tri.hit) {
-            float den = fromBits(out.tri.t_den);
-            if (den != 0.0f) {
-                float t = fromBits(out.tri.t_num) / den;
-                if (t >= ln.t_beg && t <= ln.t_max &&
-                    (!ln.best.hit || t < ln.best.t)) {
-                    if (mode_ == Mode::Any) {
-                        // First in-extent hit retires the lane; the
-                        // record carries only the flag (the any-hit
-                        // contract).
-                        HitRecord occluded;
-                        occluded.hit = true;
-                        retireLane(b.lane, occluded);
-                    } else {
-                        ln.best.hit = true;
-                        ln.best.t = t;
-                        ln.best.triangle_id = tri.id;
-                        float u = fromBits(out.tri.uvw[0]);
-                        float v = fromBits(out.tri.uvw[1]);
-                        float w = fromBits(out.tri.uvw[2]);
-                        ln.best.u = u / den;
-                        ln.best.v = v / den;
-                        ln.best.w = w / den;
-                    }
-                }
-            }
-        }
+    } else if (!ln.retired && // drop results for lanes dead mid-leaf
+               acceptTriangle(out, bvh_.tris[b.tri].id, ln.t_beg,
+                              ln.t_max, ln.best) &&
+               mode_ == Mode::Any) {
+        // First in-extent hit retires the lane; the record carries
+        // only the flag (the any-hit contract).
+        retireLane(b.lane, HitRecord{true});
     }
 
     pruneDeadBeats();

@@ -20,7 +20,8 @@
  * packetized run produces bit-identical hit records to scalar
  * traversal: per-ray pruning uses exactly the scalar condition
  * (entry_t > best.t masks the ray off a work item instead of popping
- * it), triangle acceptance is the scalar code verbatim, and each ray
+ * it), triangle acceptance is the one bvh::acceptTriangle rule every
+ * traversal path applies, and each ray
  * sees a leaf's triangles in leaf order. Rays retire out of a packet
  * independently: a ray whose pending work drops to zero completes even
  * while its packet continues traversing for the other lanes.
@@ -199,13 +200,6 @@ class PacketTraversal
     // ---- memory service ------------------------------------------------
     /** True when the packet's current work item awaits its fetch. */
     bool needsFetch() const { return state_ == State::NeedFetch; }
-    /** True while the packet is stalled on memory (either waiting to
-     *  issue a fetch or waiting for one to return). */
-    bool
-    waitingOnMemory() const
-    {
-        return state_ == State::NeedFetch || state_ == State::Fetching;
-    }
     /** Current work item the fetch targets (valid in NeedFetch). */
     bool fetchIsLeaf() const { return cur_.is_leaf; }
     uint32_t fetchIndex() const { return cur_.index; }

@@ -504,22 +504,9 @@ RtUnit::offerInput(size_t i, size_t j) const
     if (packetized())
         return packets_[i].makeBeatAt(j, i);
     const Entry &e = entries_[i];
-    DatapathInput in;
-    in.ray = e.ray;
-    in.tag = i;
-    if (e.state == EntryState::ReadyTri) {
-        in.op = Opcode::RayTriangle;
-        in.tri = bvh_.tris[e.leaf_next].toIoTriangle();
-        return in;
-    }
-    in.op = Opcode::RayBox;
-    const WideNode &node = bvh_.nodes[e.item.index];
-    for (int c = 0; c < 4; ++c) {
-        in.boxes[c] = node.child[c].kind == WideNode::Kind::Empty
-                          ? emptySlotBox()
-                          : node.child[c].bounds.toIoBox();
-    }
-    return in;
+    return e.state == EntryState::ReadyTri
+               ? triangleBeat(e.ray, bvh_.tris[e.leaf_next], i)
+               : boxBeat(e.ray, bvh_.nodes[e.item.index], i);
 }
 
 void
@@ -665,7 +652,10 @@ RtUnit::fillArrived(size_t i)
     // datapath beats.
     KnnEntry &e = knn_entries_[i];
     if (!e.fetch.is_leaf) {
-        expandKnnNode(e);
+        e.frontier.expand(bvh_.nodes[e.fetch.index], e.point.data(),
+                          knn_index_->dims,
+                          e.metric == KnnMetric::Euclidean, e.topk,
+                          stats_.knn);
         popKnnFrontier(e);
         return;
     }
@@ -713,9 +703,7 @@ RtUnit::admitWork(size_t i)
             finishKnnQuery(e); // degenerate queries finish at admission
             return;
         }
-        e.frontier.push_back({0.0, false, 0, 0, e.seq++});
-        if (e.frontier.size() > stats_.knn.frontier_peak)
-            stats_.knn.frontier_peak = e.frontier.size();
+        e.frontier.start(stats_.knn);
         popKnnFrontier(e);
         return;
     }
@@ -809,33 +797,13 @@ RtUnit::handleResult(const core::DatapathOutput &out)
         // e.inflight_tri was latched at issue time (when leaf_next
         // advanced past it), so it names exactly the triangle this
         // result tested.
-        const SceneTriangle &tri = bvh_.tris[e.inflight_tri];
-        if (out.tri.hit) {
-            float den = fromBits(out.tri.t_den);
-            if (den != 0.0f) {
-                float t = fromBits(out.tri.t_num) / den;
-                if (t >= e.t_beg && t <= e.t_max &&
-                    (!e.best.hit || t < e.best.t)) {
-                    if (cfg_.mode == TraversalMode::Any) {
-                        // First in-extent hit retires the ray; the
-                        // record carries only the flag (see
-                        // TraversalMode::Any).
-                        HitRecord occluded;
-                        occluded.hit = true;
-                        finishRay(e, occluded);
-                        return;
-                    }
-                    e.best.hit = true;
-                    e.best.t = t;
-                    e.best.triangle_id = tri.id;
-                    float u = fromBits(out.tri.uvw[0]);
-                    float v = fromBits(out.tri.uvw[1]);
-                    float w = fromBits(out.tri.uvw[2]);
-                    e.best.u = u / den;
-                    e.best.v = v / den;
-                    e.best.w = w / den;
-                }
-            }
+        if (acceptTriangle(out, bvh_.tris[e.inflight_tri].id, e.t_beg,
+                           e.t_max, e.best) &&
+            cfg_.mode == TraversalMode::Any) {
+            // First in-extent hit retires the ray; the record carries
+            // only the flag (see TraversalMode::Any).
+            finishRay(e, HitRecord{true});
+            return;
         }
         if (e.leaf_next < e.item.index + e.item.count) {
             e.state = EntryState::ReadyTri; // more triangles in leaf
@@ -941,20 +909,9 @@ RtUnit::finishKnnQuery(KnnEntry &e)
 void
 RtUnit::popKnnFrontier(KnnEntry &e)
 {
-    const bool prune = e.metric == KnnMetric::Euclidean;
-    while (!e.frontier.empty()) {
-        std::pop_heap(e.frontier.begin(), e.frontier.end(),
-                      KnnFrontierAfter{});
-        const KnnFrontierItem item = e.frontier.back();
-        e.frontier.pop_back();
-        if (prune && e.topk.full() &&
-            knnPrunable(item.lb, e.topk.radius())) {
-            // Heap-ordered frontier: once the best remaining item is
-            // prunable, so is everything behind it.
-            stats_.knn.pruned += 1 + e.frontier.size();
-            e.frontier.clear();
-            break;
-        }
+    KnnFrontier::Item item;
+    if (e.frontier.pop(e.metric == KnnMetric::Euclidean, e.topk,
+                       stats_.knn, &item)) {
         e.fetch = {item.is_leaf, item.index, item.count};
         e.state = EntryState::NeedFetch;
         return;
@@ -964,33 +921,6 @@ RtUnit::popKnnFrontier(KnnEntry &e)
     e.state = EntryState::InFlight;
     e.draining = true;
     maybeFinishKnn(e);
-}
-
-void
-RtUnit::expandKnnNode(KnnEntry &e)
-{
-    ++stats_.knn.nodes_visited;
-    const bool prune = e.metric == KnnMetric::Euclidean;
-    const WideNode &node = bvh_.nodes[e.fetch.index];
-    for (const WideNode::Child &c : node.child) {
-        if (c.kind == WideNode::Kind::Empty)
-            continue;
-        const double lb =
-            prune ? knnBoxLowerBound(c.bounds, e.point.data(),
-                                     knn_index_->dims)
-                  : 0.0;
-        if (prune && e.topk.full() &&
-            knnPrunable(lb, e.topk.radius())) {
-            ++stats_.knn.pruned;
-            continue;
-        }
-        e.frontier.push_back({lb, c.kind == WideNode::Kind::Leaf,
-                              c.index, c.count, e.seq++});
-        std::push_heap(e.frontier.begin(), e.frontier.end(),
-                       KnnFrontierAfter{});
-    }
-    if (e.frontier.size() > stats_.knn.frontier_peak)
-        stats_.knn.frontier_peak = e.frontier.size();
 }
 
 void
@@ -1005,13 +935,8 @@ RtUnit::handleKnnResult(const core::DatapathOutput &out)
         return;
     KnnEntry &e = knn_entries_[size_t(out.tag >> 32)];
     const uint32_t tri = uint32_t(out.tag);
-    const float score =
-        out.op == Opcode::Euclidean
-            ? fromBits(out.euclidean_accumulator)
-            : golden::knnAngularScore(
-                  fromBits(out.angular_dot_product),
-                  fromBits(out.angular_norm));
-    e.topk.offer(score, knn_index_->points[bvh_.tris[tri].id].id);
+    e.topk.offer(knnJobScore(out, e.metric),
+                 knn_index_->points[bvh_.tris[tri].id].id);
     --e.inflight_cands;
     maybeFinishKnn(e);
 }

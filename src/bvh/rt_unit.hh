@@ -242,8 +242,9 @@ class RtUnit
      * k-NN mode: the unit walks `index` for submitKnn() queries
      * instead of tracing rays. Same memory system (shared L1, MSHR
      * file, optional chip-level L2 via attachSharedL2) and the same
-     * synthetic address map over index.bvh; node expansion and the
-     * best-first frontier live in the unit while every candidate
+     * synthetic address map over index.bvh; each query walks the
+     * same bvh::KnnFrontier as the functional KnnTraversal (node
+     * expansion host-side, at fetch arrival) while every candidate
      * distance is evaluated as Euclidean/cosine beats through the
      * datapath lanes. The packet scheduler does not apply to k-NN
      * queries (a query is its own traversal; PacketConfig is accepted
@@ -446,9 +447,7 @@ class RtUnit
         KnnMetric metric = KnnMetric::Euclidean;
         std::vector<float> point;
         KnnTopK topk;
-        /** Min-heap (KnnFrontierAfter) of unvisited subtrees. */
-        std::vector<KnnFrontierItem> frontier;
-        uint64_t seq = 0; ///< frontier tie-break sequence
+        KnnFrontier frontier;
         FetchItem fetch;
         /** Fetched-leaf candidates (tri indices) not yet started. */
         std::deque<uint32_t> pending_cands;
@@ -483,9 +482,6 @@ class RtUnit
     /** Pop the next non-prunable frontier item into the fetch target
      *  (state NeedFetch), or mark the entry draining. */
     void popKnnFrontier(KnnEntry &e);
-    /** Host-side expansion of a fetched node: push surviving children
-     *  onto the frontier. */
-    void expandKnnNode(KnnEntry &e);
     void handleKnnResult(const core::DatapathOutput &out);
     void finishKnnQuery(KnnEntry &e);
     /** Finish a draining entry once its last in-flight score landed. */

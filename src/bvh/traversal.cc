@@ -4,6 +4,7 @@
  */
 #include "bvh/traversal.hh"
 
+#include <optional>
 #include <vector>
 
 namespace rayflex::bvh
@@ -22,29 +23,60 @@ emptySlotBox()
     return b;
 }
 
-namespace
-{
-
-/** Issue one ray-box beat for a wide node's children. */
 DatapathInput
-boxBeat(const core::Ray &ray, const WideNode &node)
+boxBeat(const core::Ray &ray, const WideNode &node, uint64_t tag)
 {
     DatapathInput in;
     in.op = Opcode::RayBox;
     in.ray = ray;
-    for (int i = 0; i < 4; ++i) {
-        if (node.child[i].kind == WideNode::Kind::Empty) {
-            in.boxes[i] = emptySlotBox();
-        } else {
-            Aabb b = node.child[i].bounds;
-            in.boxes[i] = b.toIoBox();
-        }
-    }
+    in.tag = tag;
+    for (int i = 0; i < 4; ++i)
+        in.boxes[i] = node.child[i].kind == WideNode::Kind::Empty
+                          ? emptySlotBox()
+                          : node.child[i].bounds.toIoBox();
     return in;
 }
 
-/** Resolve a triangle beat into a distance, honoring the
- *  numerator/denominator contract (division happens GPU-side). */
+DatapathInput
+triangleBeat(const core::Ray &ray, const SceneTriangle &tri, uint64_t tag)
+{
+    DatapathInput in;
+    in.op = Opcode::RayTriangle;
+    in.ray = ray;
+    in.tag = tag;
+    in.tri = tri.toIoTriangle();
+    return in;
+}
+
+bool
+acceptTriangle(const core::DatapathOutput &out, uint32_t triangle_id,
+               float t_beg, float t_max, HitRecord &best)
+{
+    if (!out.tri.hit)
+        return false;
+    // The datapath returns t as numerator/denominator; the division
+    // happens here, GPU-side.
+    const float den = fromBits(out.tri.t_den);
+    if (den == 0.0f)
+        return false;
+    const float t = fromBits(out.tri.t_num) / den;
+    // Positive form: a NaN t fails every comparison and is rejected.
+    if (!(t >= t_beg && t <= t_max && (!best.hit || t < best.t)))
+        return false;
+    best.hit = true;
+    best.t = t;
+    best.triangle_id = triangle_id;
+    best.u = fromBits(out.tri.uvw[0]) / den;
+    best.v = fromBits(out.tri.uvw[1]) / den;
+    best.w = fromBits(out.tri.uvw[2]) / den;
+    return true;
+}
+
+namespace
+{
+
+/** The oracle's own distance resolution, kept independent of
+ *  acceptTriangle so bruteForceClosest stays a separate check. */
 std::optional<float>
 triDistance(const DatapathOutput &out)
 {
@@ -101,26 +133,11 @@ Traverser::closestHit(const core::Ray &ray)
                 stack.push_back(c.index);
             } else {
                 for (uint32_t t = c.index; t < c.index + c.count; ++t) {
-                    DatapathInput tin;
-                    tin.op = Opcode::RayTriangle;
-                    tin.ray = ray;
-                    tin.tri = bvh_.tris[t].toIoTriangle();
-                    DatapathOutput tout = functionalEval(tin, acc_);
+                    const SceneTriangle &tri = bvh_.tris[t];
                     ++stats_.tri_ops;
-                    auto d = triDistance(tout);
-                    if (d && *d >= t_min && *d <= t_max &&
-                        (!best.hit || *d < best.t)) {
-                        best.hit = true;
-                        best.t = *d;
-                        best.triangle_id = bvh_.tris[t].id;
-                        float u = fromBits(tout.tri.uvw[0]);
-                        float v = fromBits(tout.tri.uvw[1]);
-                        float w = fromBits(tout.tri.uvw[2]);
-                        float den = fromBits(tout.tri.t_den);
-                        best.u = u / den;
-                        best.v = v / den;
-                        best.w = w / den;
-                    }
+                    acceptTriangle(
+                        functionalEval(triangleBeat(ray, tri), acc_),
+                        tri.id, t_min, t_max, best);
                 }
             }
         }
@@ -133,6 +150,7 @@ Traverser::anyHit(const core::Ray &ray)
 {
     if (bvh_.tris.empty())
         return false;
+    HitRecord best;
     const float t_min = fromBits(ray.t_beg);
     const float t_max = fromBits(ray.t_end);
     std::vector<uint32_t> stack;
@@ -155,14 +173,11 @@ Traverser::anyHit(const core::Ray &ray)
                 stack.push_back(c.index);
             } else {
                 for (uint32_t t = c.index; t < c.index + c.count; ++t) {
-                    DatapathInput tin;
-                    tin.op = Opcode::RayTriangle;
-                    tin.ray = ray;
-                    tin.tri = bvh_.tris[t].toIoTriangle();
-                    DatapathOutput tout = functionalEval(tin, acc_);
+                    const SceneTriangle &tri = bvh_.tris[t];
                     ++stats_.tri_ops;
-                    auto d = triDistance(tout);
-                    if (d && *d >= t_min && *d <= t_max)
+                    if (acceptTriangle(
+                            functionalEval(triangleBeat(ray, tri), acc_),
+                            tri.id, t_min, t_max, best))
                         return true;
                 }
             }

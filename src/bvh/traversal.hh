@@ -13,8 +13,6 @@
 #ifndef RAYFLEX_BVH_TRAVERSAL_HH
 #define RAYFLEX_BVH_TRAVERSAL_HH
 
-#include <optional>
-
 #include "bvh/builder.hh"
 #include "core/stages.hh"
 
@@ -92,6 +90,29 @@ class Traverser
 /** An always-miss box for padding empty child slots: +inf corners make
  *  every slab interval empty for any ray. */
 core::Box emptySlotBox();
+
+/** The ray-box beat testing `node`'s four children (empty slots padded
+ *  with emptySlotBox()); `tag` is echoed on the datapath output. */
+core::DatapathInput boxBeat(const core::Ray &ray, const WideNode &node,
+                            uint64_t tag = 0);
+
+/** The ray-triangle beat testing `tri`. */
+core::DatapathInput triangleBeat(const core::Ray &ray,
+                                 const SceneTriangle &tri,
+                                 uint64_t tag = 0);
+
+/**
+ * The triangle-acceptance rule every traversal path applies (the
+ * functional Traverser, the scalar and packet RT-unit schedulers):
+ * resolve a ray-triangle result's t = t_num / t_den and accept it when
+ * it lies inside the ray extent [t_beg, t_max] and is strictly nearer
+ * than `best`. A miss, t_den == 0 and a NaN t are rejected. On
+ * acceptance `best` takes t, `triangle_id` and the barycentrics
+ * normalized by t_den. Any-hit paths retire on the first acceptance.
+ * @return true when the hit was accepted.
+ */
+bool acceptTriangle(const core::DatapathOutput &out, uint32_t triangle_id,
+                    float t_beg, float t_max, HitRecord &best);
 
 } // namespace rayflex::bvh
 

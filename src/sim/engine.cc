@@ -3,24 +3,21 @@
  * Batch simulation engine implementation (the batch-synchronous front
  * of the job/scheduler/executor stack).
  *
- * Work distribution is a single atomic batch counter: workers claim the
- * next unclaimed batch index until none remain. Batches are contiguous
- * ray ranges; each worker gathers its claimed range into executor ray
- * refs (ray pointer + hit-record pointer) and hands them to the shared
- * sim::BatchExecutor, which scatters hit records into disjoint slices
- * of the shared output vector — so no synchronization is needed on
- * results. Statistics are accumulated per worker and merged after the
- * join, which is safe because the merge operation is commutative and
- * associative.
+ * One batch loop, Engine::forEachBatch, serves run(), runKnn() and the
+ * streaming service (sim/stream.hh): workers claim the next unclaimed
+ * batch index off one atomic counter until none remain. Each batch
+ * gathers its items into executor refs, hands them to the shared
+ * sim::BatchExecutor (which scatters results into disjoint slices of
+ * the shared output vector) and writes its BatchResult into its own
+ * slot — so no synchronization is needed on results. The caller merges
+ * the slots in batch order after the join.
  *
  * Workers live in a persistent pool (Engine::Pool): threads are spawned
  * once, then parked on a condition variable between runs. A run hands
  * the pool a job and a worker count; each drafted worker executes
  * job(worker_id) and reports back, and the dispatching thread blocks
  * until all drafted workers have returned. Single-worker runs bypass
- * the pool entirely and execute inline on the calling thread. The
- * streaming service (sim/stream.hh) dispatches onto the same pool
- * through Engine::dispatchWorkers.
+ * the pool entirely and execute inline on the calling thread.
  */
 #include "sim/engine.hh"
 
@@ -132,84 +129,45 @@ Engine::executorConfig() const
     return ec;
 }
 
-void
-Engine::dispatchWorkers(unsigned n,
-                        const std::function<void(unsigned)> &job) const
+unsigned
+Engine::forEachBatch(size_t n,
+                     const std::function<void(size_t)> &fn) const
 {
-    if (n <= 1) {
-        job(0);
-        return;
+    const unsigned workers =
+        unsigned(std::min<size_t>(resolved_threads_, n));
+    if (workers <= 1) {
+        for (size_t bi = 0; bi < n; ++bi)
+            fn(bi);
+        return workers;
     }
-    // Concurrent run() calls from different threads serialize here;
-    // results are unaffected (work distribution is the callers' atomic
-    // batch counters), only wall-clock overlaps are lost.
-    std::lock_guard<std::mutex> lk(pool_mutex_);
-    if (!pool_)
-        pool_ = std::make_unique<Pool>(resolved_threads_);
-    pool_->dispatch(n, job);
-}
 
-template <class Ref, class Report, class MakeRef, class Exec>
-BatchResult
-Engine::shard(size_t n, Report &report, MakeRef ref, Exec exec) const
-{
-    const std::vector<core::BatchRange> batches =
-        core::sliceBatches(n, cfg_.batch_size);
-    report.batches = batches.size();
-    const unsigned threads =
-        unsigned(std::min<size_t>(resolved_threads_, batches.size()));
-    report.threads_used = threads;
-
-    std::atomic<size_t> next_batch{0};
-    std::vector<BatchResult> tallies(threads);
-    std::vector<std::exception_ptr> errors(threads);
-
-    auto worker = [&](unsigned wid) {
+    std::atomic<size_t> next{0};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    const std::function<void(unsigned)> worker = [&](unsigned) {
         try {
-            // Gather each claimed contiguous range into refs (reusing
-            // one buffer per worker): the executor then sees the same
-            // items with the same local ids in the same order as the
-            // pre-refactor inline loops, so schedules are bit-for-bit
-            // unchanged.
-            std::vector<Ref> refs;
-            for (size_t bi = next_batch.fetch_add(1);
-                 bi < batches.size(); bi = next_batch.fetch_add(1)) {
-                const core::BatchRange r = batches[bi];
-                refs.resize(r.size());
-                for (size_t i = r.begin; i < r.end; ++i)
-                    refs[i - r.begin] = ref(i);
-                const BatchResult br = exec(refs.data(), refs.size(), bi);
-                tallies[wid].unit.merge(br.unit);
-                tallies[wid].traversal.merge(br.traversal);
-                tallies[wid].knn.merge(br.knn);
-            }
+            for (size_t bi = next.fetch_add(1); bi < n;
+                 bi = next.fetch_add(1))
+                fn(bi);
         } catch (...) {
-            errors[wid] = std::current_exception();
+            next.store(n); // no worker claims another batch
+            std::lock_guard<std::mutex> lk(error_mutex);
+            if (!error)
+                error = std::current_exception();
         }
     };
-
-    if (threads > 0) {
-        const auto t0 = std::chrono::steady_clock::now();
-        dispatchWorkers(threads, worker);
-        const auto t1 = std::chrono::steady_clock::now();
-        report.elapsed_seconds =
-            std::chrono::duration<double>(t1 - t0).count();
+    {
+        // Concurrent runs from different threads serialize here;
+        // results are unaffected (each run has its own counter), only
+        // wall-clock overlaps are lost.
+        std::lock_guard<std::mutex> lk(pool_mutex_);
+        if (!pool_)
+            pool_ = std::make_unique<Pool>(resolved_threads_);
+        pool_->dispatch(workers, worker);
     }
-
-    for (const std::exception_ptr &e : errors)
-        if (e)
-            std::rethrow_exception(e);
-
-    // Merge worker tallies in worker-id order. Any order would give the
-    // same counters (sums and maxima commute); a fixed order just makes
-    // that property obvious.
-    BatchResult total;
-    for (const BatchResult &t : tallies) {
-        total.unit.merge(t.unit);
-        total.traversal.merge(t.traversal);
-        total.knn.merge(t.knn);
-    }
-    return total;
+    if (error)
+        std::rethrow_exception(error);
+    return workers;
 }
 
 EngineReport
@@ -224,56 +182,43 @@ Engine::run(const bvh::Bvh4 &bvh, const std::vector<core::Ray> &rays,
             bool any_hit) const
 {
     const BatchExecutor exec(bvh, executorConfig());
+    const std::vector<core::BatchRange> ranges =
+        core::sliceBatches(rays.size(), cfg_.batch_size);
     EngineReport report;
     report.hits.resize(rays.size());
+    report.batches = ranges.size();
 
-    // Tracing keeps per-batch results in batch-index slots (disjoint
-    // writes, no synchronization) so the post-join concatenation can
-    // rebuild the sequential simulated timeline in batch order no
-    // matter which worker ran which batch.
-    struct BatchTrace
-    {
-        size_t rays = 0;
-        uint64_t cycles = 0;
-        std::vector<obs::TraceRecord> records;
-    };
+    // Each batch gathers its contiguous range into refs (ray k as local
+    // id k) and writes its result into its own slot, so no worker
+    // touches another's data.
+    std::vector<BatchResult> results(ranges.size());
+    const auto t0 = std::chrono::steady_clock::now();
+    report.threads_used = forEachBatch(ranges.size(), [&](size_t bi) {
+        const core::BatchRange r = ranges[bi];
+        std::vector<BatchRayRef> refs(r.size());
+        for (size_t i = r.begin; i < r.end; ++i)
+            refs[i - r.begin] = {&rays[i], &report.hits[i], 0};
+        results[bi] = exec.executeBatch(refs.data(), refs.size(), any_hit);
+    });
+    report.elapsed_seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+
+    // Merge in batch order and lay the batch traces end to end on one
+    // sequential simulated timeline (batch k starts where batch k-1
+    // ended): both depend only on the batch decomposition, never on
+    // which worker ran which batch.
     const bool tracing =
         cfg_.trace && cfg_.model == ExecutionModel::CycleAccurate;
-    std::vector<BatchTrace> traces(
-        tracing ? core::sliceBatches(rays.size(), cfg_.batch_size).size()
-                : 0);
-
-    const BatchResult total = shard<BatchRayRef>(
-        rays.size(), report,
-        [&](size_t i) {
-            return BatchRayRef{&rays[i], &report.hits[i], 0};
-        },
-        [&](const BatchRayRef *refs, size_t n, size_t bi) {
-            BatchResult br = exec.executeBatch(refs, n, any_hit);
-            if (tracing)
-                traces[bi] = {n, br.sim_cycles, std::move(br.trace)};
-            return br;
-        });
-    report.unit = total.unit;
-    report.traversal = total.traversal;
-
-    // Concatenate per-batch traces in batch order onto one sequential
-    // simulated timeline: batch k starts where batch k-1 ended. The
-    // decomposition into batches and each batch's evolution are both
-    // worker-independent, so the assembled trace is bit-identical at
-    // every worker count.
-    uint64_t offset = 0;
-    for (size_t bi = 0; bi < traces.size(); ++bi) {
-        const BatchTrace &t = traces[bi];
-        report.trace.push_back({offset, 0, obs::TraceEvent::BatchStart,
-                                uint64_t(bi), uint64_t(t.rays)});
-        for (obs::TraceRecord rec : t.records) {
-            rec.cycle += offset;
-            report.trace.push_back(rec);
-        }
-        offset += t.cycles;
-        report.trace.push_back({offset, 0, obs::TraceEvent::BatchEnd,
-                                uint64_t(bi), uint64_t(t.rays)});
+    uint64_t start = 0;
+    for (size_t bi = 0; bi < results.size(); ++bi) {
+        const BatchResult &br = results[bi];
+        report.unit.merge(br.unit);
+        report.traversal.merge(br.traversal);
+        if (tracing)
+            appendBatchTrace(report.trace, bi, ranges[bi].size(), start,
+                             br);
+        start += br.sim_cycles;
     }
     return report;
 }
@@ -289,27 +234,39 @@ Engine::runKnn(const bvh::KnnIndex &index,
             "datapath config (e.g. core::kExtendedUnified)");
     // KnnReport carries no trace (see EngineConfig::trace): drop the
     // flag here rather than collect per-batch events only to discard
-    // them after the join.
+    // them.
     ExecutorConfig ec = executorConfig();
     ec.trace = false;
     const BatchExecutor exec(index, ec);
+    const std::vector<core::BatchRange> ranges =
+        core::sliceBatches(queries.size(), cfg_.batch_size);
 
     KnnReport report;
     report.results.resize(queries.size());
-    const BatchResult total = shard<KnnBatchRef>(
-        queries.size(), report,
-        [&](size_t i) {
-            return KnnBatchRef{&queries[i], &report.results[i]};
-        },
-        [&](const KnnBatchRef *refs, size_t n, size_t) {
-            return exec.executeKnnBatch(refs, n);
-        });
-    report.unit = total.unit;
+    report.batches = ranges.size();
+    std::vector<BatchResult> results(ranges.size());
+    const auto t0 = std::chrono::steady_clock::now();
+    report.threads_used = forEachBatch(ranges.size(), [&](size_t bi) {
+        const core::BatchRange r = ranges[bi];
+        std::vector<KnnBatchRef> refs(r.size());
+        for (size_t i = r.begin; i < r.end; ++i)
+            refs[i - r.begin] = {&queries[i], &report.results[i]};
+        results[bi] = exec.executeKnnBatch(refs.data(), refs.size());
+    });
+    report.elapsed_seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
+
+    bvh::KnnStats knn;
+    for (const BatchResult &br : results) {
+        report.unit.merge(br.unit);
+        knn.merge(br.knn);
+    }
     // One traversal-counter field whatever the model: the cycle
     // model's counters live inside the unit stats.
     report.knn = cfg_.model == ExecutionModel::CycleAccurate
-                     ? total.unit.knn
-                     : total.knn;
+                     ? report.unit.knn
+                     : knn;
     return report;
 }
 

@@ -9,11 +9,11 @@
  * engine is the batch-synchronous front of the three-tier stack (job /
  * scheduler / executor — see sim/executor.hh and sim/stream.hh): it
  * shards a ray workload into fixed batches (core::sliceBatches), has
- * each worker thread gather its claimed batch into executor ray refs
- * and run them through one shared sim::BatchExecutor (which constructs
+ * worker threads claim batches, gather each into executor ray refs and
+ * run them through one shared sim::BatchExecutor (which constructs
  * fresh bvh::RtUnits — or, in the functional model, a bvh::Traverser —
  * per batch against the shared immutable Scene/BVH), and merges the
- * per-batch statistics into an aggregate report.
+ * per-batch statistics in batch order into an aggregate report.
  *
  * Determinism contract: per-ray hit records and the merged statistics
  * are bit-identical for every thread count. Three properties make this
@@ -22,18 +22,19 @@
  *      never on the worker count;
  *   2. each batch is simulated by a freshly constructed unit whose
  *      evolution depends only on the batch contents and the shared BVH;
- *   3. batch statistics are merged with commutative-associative sums
- *      (RtUnitStats::merge / TraversalStats::merge), so the claim order
- *      of batches by workers cannot change the aggregate.
+ *   3. each batch writes its statistics into its own slot and the
+ *      slots merge in batch order (RtUnitStats::merge /
+ *      TraversalStats::merge), so the claim order of batches by
+ *      workers cannot change the aggregate.
  *
  * Worker threads are persistent: the first multi-threaded run() lazily
  * spawns a pool sized to the configured thread count, and every later
  * run() of the same engine reuses it, so multi-pass scenarios (primary,
  * shadow, ambient-occlusion, bounce batches - see sim/passes.hh) stop
  * paying thread creation per pass. The same pool also executes
- * sim::StreamingService batches (sim/stream.hh). The pool never
- * affects results: work distribution stays the atomic batch counter of
- * point 1 above.
+ * sim::StreamingService batches (sim/stream.hh) through the same batch
+ * loop. The pool never affects results: each batch writes its own
+ * result slot, and the slots merge in batch order.
  */
 #ifndef RAYFLEX_SIM_ENGINE_HH
 #define RAYFLEX_SIM_ENGINE_HH
@@ -252,23 +253,16 @@ class Engine
 
     class Pool;
 
-    /** Run job(0)..job(n-1) on the shared worker pool (inline on the
-     *  calling thread when n == 1), serializing with other runs on
-     *  pool_mutex_; blocks until every worker returned. */
-    void dispatchWorkers(unsigned n,
-                         const std::function<void(unsigned)> &job) const;
-
-    /** The shard loop behind run() and runKnn(): slice `n` items into
-     *  batches of cfg.batch_size, let the workers claim batches off
-     *  one atomic counter, gather each batch's refs as ref(i) and
-     *  simulate it as exec(refs, count, batch_index), which returns
-     *  the batch's BatchResult. Fills the report's batches,
-     *  threads_used and elapsed_seconds, rethrows the first worker
-     *  error, and returns the per-worker tallies merged in worker-id
-     *  order. Defined (and instantiated) in engine.cc. */
-    template <class Ref, class Report, class MakeRef, class Exec>
-    BatchResult shard(size_t n, Report &report, MakeRef ref,
-                      Exec exec) const;
+    /** The one batch loop behind run(), runKnn() and
+     *  StreamingService::finish: call fn(0) .. fn(n-1), each batch
+     *  index once, with workers claiming indices off one atomic
+     *  counter. Runs inline on the calling thread when one worker
+     *  suffices, else on the persistent pool (serialized with other
+     *  runs on pool_mutex_). After an error no further batch is
+     *  claimed, and the first error is rethrown once every worker
+     *  returned. @return the workers used: min(threads, n). */
+    unsigned forEachBatch(size_t n,
+                          const std::function<void(size_t)> &fn) const;
 
     EngineConfig cfg_;
     unsigned resolved_threads_ = 1; ///< cfg.threads with 0 resolved

@@ -139,6 +139,20 @@ runChip(const ExecutorConfig &cfg, const Source &source,
 
 } // namespace
 
+void
+appendBatchTrace(std::vector<obs::TraceRecord> &out, size_t bi,
+                 size_t items, uint64_t start, const BatchResult &br)
+{
+    out.push_back({start, 0, obs::TraceEvent::BatchStart, uint64_t(bi),
+                   uint64_t(items)});
+    for (obs::TraceRecord rec : br.trace) {
+        rec.cycle += start;
+        out.push_back(rec);
+    }
+    out.push_back({start + br.sim_cycles, 0, obs::TraceEvent::BatchEnd,
+                   uint64_t(bi), uint64_t(items)});
+}
+
 BatchResult
 BatchExecutor::executeKnnBatch(const KnnBatchRef *refs, size_t n) const
 {

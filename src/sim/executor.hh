@@ -151,6 +151,16 @@ struct BatchResult
     std::vector<obs::TraceRecord> trace;
 };
 
+/** Append batch `bi`'s trace to `out` on the caller's simulated
+ *  timeline: a BatchStart marker at `start`, the batch's records
+ *  rebased from its batch-local clock by `start`, and a BatchEnd
+ *  marker at start + br.sim_cycles; both markers carry the batch
+ *  index and its `items` count. The engine and the streaming service
+ *  build their traces from it. */
+void appendBatchTrace(std::vector<obs::TraceRecord> &out, size_t bi,
+                      size_t items, uint64_t start,
+                      const BatchResult &br);
+
 /** Executor configuration: everything the simulation of one batch
  *  depends on. Mirrors the simulation-relevant subset of
  *  sim::EngineConfig (which embeds one). */

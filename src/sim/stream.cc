@@ -1,16 +1,14 @@
 /**
  * @file
- * Streaming service implementation: plan, double-buffered execute,
- * simulated timeline.
+ * Streaming service implementation: plan, execute, simulated
+ * timeline.
  *
  * finish() is three deterministic phases. PLAN: the sorted job list
- * goes through BatchScheduler::plan, a pure function. EXECUTE: every
- * planned batch is gathered into executor refs and run on a freshly
- * constructed unit (sim::BatchExecutor); with multiple workers a
- * filler thread builds gather arrays ahead of the executing workers
- * through a bounded channel (double-buffered fill), and per-batch
- * results land in a slot indexed by plan order — so neither the
- * channel timing nor the worker count can influence any result.
+ * goes through BatchScheduler::plan, a pure function. EXECUTE: the
+ * engine's batch loop (Engine::forEachBatch) gathers every planned
+ * batch into executor refs and runs it on a freshly constructed unit
+ * (sim::BatchExecutor); per-batch results land in a slot indexed by
+ * plan order, so the worker count cannot influence any result.
  * TIMELINE: batches are charged sequentially in plan order
  * (start = max(previous end, ready tick), end = start + the batch's
  * simulated cycles) and per-job latencies read off that timeline.
@@ -18,9 +16,7 @@
 #include "sim/stream.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <unordered_set>
@@ -122,19 +118,6 @@ BatchScheduler::plan(const std::vector<RenderJob> &jobs) const
     return plans;
 }
 
-namespace
-{
-
-/** One gathered batch in flight from the filler to a worker. */
-struct FilledBatch
-{
-    size_t index = 0;
-    bool any_hit = false;
-    std::vector<BatchRayRef> refs;
-};
-
-} // namespace
-
 StreamingService::StreamingService(const Engine &engine,
                                    const StreamConfig &cfg)
     : engine_(engine), cfg_(cfg), queue_(cfg.queue_capacity)
@@ -207,91 +190,25 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
         rep.total_rays += jobs_[j].rays.size();
     }
 
+    // Each planned batch gathers its (job, ray) pairs into refs and
+    // writes its result into its plan-order slot, so worker timing
+    // cannot reach any reported number.
     const BatchExecutor exec(bvh, engine_.executorConfig());
     std::vector<BatchResult> results(plans.size());
-
-    unsigned threads = engine_.resolved_threads_;
-    if (size_t(threads) > plans.size())
-        threads = unsigned(plans.size());
-    rep.threads_used = threads;
-
-    const auto gather = [&](size_t bi, std::vector<BatchRayRef> &refs) {
+    const auto t0 = std::chrono::steady_clock::now();
+    rep.threads_used = engine_.forEachBatch(plans.size(), [&](size_t bi) {
         const PlannedBatch &b = plans[bi];
-        refs.resize(b.rays.size());
+        std::vector<BatchRayRef> refs(b.rays.size());
         for (size_t k = 0; k < b.rays.size(); ++k) {
             const auto [j, ri] = b.rays[k];
             refs[k] = {&jobs_[j].rays[ri], &rep.jobs[j].hits[ri], j};
         }
-    };
-
-    const auto t0 = std::chrono::steady_clock::now();
-    if (threads <= 1) {
-        std::vector<BatchRayRef> refs;
-        for (size_t bi = 0; bi < plans.size(); ++bi) {
-            gather(bi, refs);
-            results[bi] = exec.executeBatch(refs.data(), refs.size(),
-                                            plans[bi].any_hit);
-        }
-    } else {
-        // Double-buffered fill: the filler builds gather arrays ahead
-        // of the executing workers, bounded so it never runs away.
-        // Results land in plan-order slots, so channel and worker
-        // timing cannot reach any reported number.
-        BoundedQueue<FilledBatch> channel(size_t(threads) * 2);
-        std::exception_ptr fill_error;
-        std::thread filler([&] {
-            try {
-                for (size_t bi = 0; bi < plans.size(); ++bi) {
-                    FilledBatch f;
-                    f.index = bi;
-                    f.any_hit = plans[bi].any_hit;
-                    gather(bi, f.refs);
-                    if (!channel.push(std::move(f)))
-                        break; // closed early: a worker failed
-                }
-            } catch (...) {
-                fill_error = std::current_exception();
-            }
-            channel.close();
-        });
-
-        std::vector<std::exception_ptr> errors(threads);
-        std::atomic<bool> abort{false};
-        engine_.dispatchWorkers(
-            threads,
-            [&](unsigned wid) {
-                while (std::optional<FilledBatch> f = channel.pop()) {
-                    if (abort.load(std::memory_order_relaxed))
-                        continue; // drain so the filler never blocks
-                    try {
-                        results[f->index] = exec.executeBatch(
-                            f->refs.data(), f->refs.size(),
-                            f->any_hit);
-                    } catch (...) {
-                        errors[wid] = std::current_exception();
-                        abort.store(true,
-                                    std::memory_order_relaxed);
-                    }
-                }
-            });
-        channel.close();
-        filler.join();
-        if (fill_error)
-            std::rethrow_exception(fill_error);
-        for (const std::exception_ptr &e : errors)
-            if (e)
-                std::rethrow_exception(e);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    rep.elapsed_seconds =
-        std::chrono::duration<double>(t1 - t0).count();
-
-    // Merge batch statistics in plan order (any order would give the
-    // same sums; a fixed order makes that obvious).
-    for (const BatchResult &r : results) {
-        rep.unit.merge(r.unit);
-        rep.traversal.merge(r.traversal);
-    }
+        results[bi] =
+            exec.executeBatch(refs.data(), refs.size(), b.any_hit);
+    });
+    rep.elapsed_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
 
     const bool tracing =
         engine_.config().trace &&
@@ -305,9 +222,10 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
 
     // The simulated timeline: sequential-machine semantics. Batch bi
     // starts when the previous batch drained and its own contributors
-    // have all arrived. Each batch's executor trace (batch-local
-    // clock) is rebased to its timeline start here, so the stream
-    // trace shares the tick axis with every latency it reports.
+    // have all arrived. Batch statistics merge in plan order, and each
+    // batch's executor trace (batch-local clock) is rebased to its
+    // timeline start, so the stream trace shares the tick axis with
+    // every latency it reports.
     std::vector<obs::Histogram> raylat(jobs_.size());
     std::vector<uint64_t> count(jobs_.size(), 0);
     std::vector<uint32_t> touched;
@@ -318,19 +236,12 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
         const uint64_t start = std::max(prev_end, b.ready_tick);
         const uint64_t end = start + results[bi].sim_cycles;
         prev_end = end;
+        rep.unit.merge(results[bi].unit);
+        rep.traversal.merge(results[bi].traversal);
 
-        if (tracing) {
-            rep.trace.push_back({start, 0, obs::TraceEvent::BatchStart,
-                                 uint64_t(bi),
-                                 uint64_t(b.rays.size())});
-            for (obs::TraceRecord rec : results[bi].trace) {
-                rec.cycle += start;
-                rep.trace.push_back(rec);
-            }
-            rep.trace.push_back({end, 0, obs::TraceEvent::BatchEnd,
-                                 uint64_t(bi),
-                                 uint64_t(b.rays.size())});
-        }
+        if (tracing)
+            appendBatchTrace(rep.trace, bi, b.rays.size(), start,
+                             results[bi]);
 
         touched.clear();
         for (const auto &[j, ri] : b.rays) {

@@ -16,9 +16,9 @@
  *   * scheduler tier — sim::BatchScheduler packs rays from different
  *     in-flight jobs into shared batches (cross-job packet formation:
  *     one job's coherent rays fill another's divergence-thinned
- *     packets), and sim::StreamingService double-buffers batch fill
- *     against simulation while tracking per-job completion on a
- *     simulated-cycle timeline.
+ *     packets), and sim::StreamingService runs the planned batches
+ *     through the engine's batch loop while tracking per-job
+ *     completion on a simulated-cycle timeline.
  *
  * Determinism contract, extended from the engine: the batch plan is a
  * PURE function of the job schedule (ids, arrival ticks, modes, rays,
@@ -335,9 +335,8 @@ struct StreamReport
  * The streaming front-end over an existing Engine: concurrent clients
  * submit() RenderJobs through the bounded JobQueue (blocking when the
  * queue is full), and finish() closes intake, plans the batches, and
- * executes them on the engine's worker pool — batch fill
- * double-buffered against simulation — returning the per-job and
- * aggregate report. The engine's threads/model/rt/dp/chip knobs apply;
+ * executes them through the engine's batch loop and worker pool,
+ * returning the per-job and aggregate report. The engine's threads/model/rt/dp/chip knobs apply;
  * EngineConfig::batch_size and any_hit are ignored, superseded by
  * StreamConfig::batch_size and the per-job modes.
  *

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <limits>
 #include <random>
 
 #include "bvh/builder.hh"
@@ -167,6 +169,60 @@ TEST(Traversal, RespectsRayExtent)
     EXPECT_FALSE(s.hit);
     ASSERT_TRUE(l.hit);
     EXPECT_NEAR(l.t, 5.0f, 1e-4f);
+}
+
+TEST(Traversal, AcceptTriangleRule)
+{
+    using rayflex::fp::toBits;
+    // A datapath hit at t = num / den with scaled barycentrics
+    // (0.5, 0.5, 1).
+    const auto result = [](float num, float den) {
+        DatapathOutput out;
+        out.op = Opcode::RayTriangle;
+        out.tri.hit = true;
+        out.tri.t_num = toBits(num);
+        out.tri.t_den = toBits(den);
+        out.tri.uvw = {toBits(0.5f), toBits(0.5f), toBits(1.0f)};
+        return out;
+    };
+    const float inf = std::numeric_limits<float>::infinity();
+    const float t = 3.0f;
+
+    // Both extent bounds are inclusive; the barycentrics are divided
+    // by t_den.
+    HitRecord best;
+    EXPECT_TRUE(acceptTriangle(result(6, 2), 7, t, t, best));
+    EXPECT_TRUE(best.hit);
+    EXPECT_EQ(best.t, t);
+    EXPECT_EQ(best.triangle_id, 7u);
+    EXPECT_EQ(best.u, 0.25f);
+    EXPECT_EQ(best.v, 0.25f);
+    EXPECT_EQ(best.w, 0.5f);
+
+    // Rejections leave `best` untouched: one ulp outside either bound,
+    // a miss, t_den == 0 (which would otherwise give t = +inf inside
+    // an unbounded extent) and a NaN t.
+    HitRecord none;
+    EXPECT_FALSE(acceptTriangle(result(6, 2), 7, std::nextafter(t, inf),
+                                inf, none));
+    EXPECT_FALSE(acceptTriangle(result(6, 2), 7, -inf,
+                                std::nextafter(t, -inf), none));
+    DatapathOutput miss = result(6, 2);
+    miss.tri.hit = false;
+    EXPECT_FALSE(acceptTriangle(miss, 7, -inf, inf, none));
+    EXPECT_FALSE(acceptTriangle(result(6, 0), 7, -inf, inf, none));
+    EXPECT_FALSE(acceptTriangle(
+        result(std::numeric_limits<float>::quiet_NaN(), 2), 7, -inf, inf,
+        none));
+    EXPECT_EQ(none, HitRecord{});
+
+    // An equal t does not replace `best`; a strictly nearer one does.
+    const HitRecord first = best;
+    EXPECT_FALSE(acceptTriangle(result(6, 2), 8, -inf, inf, best));
+    EXPECT_EQ(best, first);
+    EXPECT_TRUE(acceptTriangle(result(4, 2), 9, -inf, inf, best));
+    EXPECT_EQ(best.t, 2.0f);
+    EXPECT_EQ(best.triangle_id, 9u);
 }
 
 TEST(RtUnit, MatchesFunctionalTraversal)

@@ -20,15 +20,16 @@
 namespace
 {
 
-/** volatile parameters so the probe is evaluated with exactly the
- *  floating-point codegen of this translation unit: noinline alone
- *  does not stop GCC's IPA constant propagation from folding the call
- *  at the separately-rounded value, which would mask a contracted
- *  build. */
+/** The operands pass through volatile locals so the probe is
+ *  evaluated with exactly the floating-point codegen of this
+ *  translation unit: noinline alone does not stop GCC's IPA constant
+ *  propagation from folding the call at the separately-rounded value,
+ *  which would mask a contracted build. */
 float
-mulAddProbe(volatile float a, volatile float b, volatile float c)
+mulAddProbe(float a, float b, float c)
 {
-    return a * b + c;
+    volatile float va = a, vb = b, vc = c;
+    return va * vb + vc;
 }
 
 } // namespace

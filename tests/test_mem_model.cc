@@ -111,9 +111,14 @@ TEST(MshrStats, MergeIsCommutativeSum)
 TEST(MshrFile, MergesDuplicatesAndBoundsOutstanding)
 {
     MshrFile file(2);
+    // Completion cycle of the in-flight fill of `addr`, 0 when none.
+    const auto done = [&file](uint64_t addr) -> uint64_t {
+        const MshrFile::Entry *e = file.lookup(addr);
+        return e ? e->done_cycle : 0;
+    };
     ASSERT_TRUE(file.enabled());
     EXPECT_FALSE(file.full());
-    EXPECT_EQ(file.inflightCompletion(128), 0u);
+    EXPECT_EQ(done(128), 0u);
 
     // Two distinct targets fill the file.
     file.allocate(128, 30);
@@ -121,17 +126,17 @@ TEST(MshrFile, MergesDuplicatesAndBoundsOutstanding)
     EXPECT_TRUE(file.full());
     // A duplicate of an in-flight target reports its completion (the
     // merge the RT unit rides instead of allocating).
-    EXPECT_EQ(file.inflightCompletion(128), 30u);
-    EXPECT_EQ(file.inflightCompletion(256), 25u);
-    EXPECT_EQ(file.inflightCompletion(512), 0u);
+    EXPECT_EQ(done(128), 30u);
+    EXPECT_EQ(done(256), 25u);
+    EXPECT_EQ(done(512), 0u);
 
     // Retirement frees exactly the entries whose fill completed.
     file.retire(24);
     EXPECT_TRUE(file.full());
     file.retire(25);
     EXPECT_FALSE(file.full());
-    EXPECT_EQ(file.inflightCompletion(256), 0u);
-    EXPECT_EQ(file.inflightCompletion(128), 30u);
+    EXPECT_EQ(done(256), 0u);
+    EXPECT_EQ(done(128), 30u);
 
     // Entry count 0 disables the file (the legacy unbounded path).
     EXPECT_FALSE(MshrFile(0).enabled());

@@ -84,13 +84,15 @@ TEST(SliceBatches, CoversEveryIndexExactlyOnce)
             for (size_t i = 0; i < batches.size(); ++i) {
                 ASSERT_LT(batches[i].begin, batches[i].end);
                 ASSERT_EQ(batches[i].begin, covered);
-                if (bs)
+                if (bs) {
                     ASSERT_LE(batches[i].size(), bs);
+                }
                 covered = batches[i].end;
             }
             ASSERT_EQ(covered, total);
-            if (total == 0)
+            if (total == 0) {
                 ASSERT_TRUE(batches.empty());
+            }
         }
     }
 }

@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "bvh/scene.hh"
@@ -353,6 +355,30 @@ TEST(StreamingService, ApiMisuseThrows)
         svc.finish(bvh);
         EXPECT_THROW(svc.submit({1, 0, false, {}}), std::logic_error);
         EXPECT_THROW(svc.finish(bvh), std::logic_error);
+    }
+}
+
+TEST(StreamingService, BatchErrorPropagatesFromWorkers)
+{
+    // A cycle budget no batch can meet: the std::runtime_error a batch
+    // throws on a worker must surface from finish() at every worker
+    // count, without hanging the service or the engine's pool.
+    Bvh4 bvh = testScene();
+    sim::StreamConfig scfg;
+    scfg.batch_size = 16; // ~26 batches: every worker drafts
+    for (unsigned threads : {1u, 2u, 4u}) {
+        sim::EngineConfig cfg = packetEngineConfig(threads);
+        cfg.max_cycles_per_batch = 10;
+        sim::Engine engine(cfg);
+        try {
+            sim::StreamingService::run(engine, bvh, mixedSchedule(bvh),
+                                       scfg);
+            ADD_FAILURE() << threads << " threads: finish() returned";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("max_cycles_per_batch"),
+                      std::string::npos)
+                << threads << " threads: " << e.what();
+        }
     }
 }
 
