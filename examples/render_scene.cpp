@@ -88,6 +88,7 @@
 #include "bvh/scene.hh"
 #include "obs/perfetto.hh"
 #include "sim/passes.hh"
+#include "sim/stream.hh"
 #include "synth/chip_cost.hh"
 
 using namespace rayflex;

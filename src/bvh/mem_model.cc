@@ -14,6 +14,39 @@
 namespace rayflex::bvh
 {
 
+namespace
+{
+
+/** Look `line` up in one `ways`-way set at LRU clock `tick`. A hit
+ *  refreshes the way; a miss installs the line over the victim: the
+ *  first invalid way, else the least recently used one, ties toward
+ *  the lowest way index, so replacement is a pure function of the
+ *  access sequence. @return true on a hit; on a miss, `*evicted` (when
+ *  non-null) says whether a valid line was displaced. */
+bool
+lruTouch(LruLine *set, uint32_t ways, uint64_t line, uint64_t tick,
+         bool *evicted)
+{
+    LruLine *victim = set;
+    for (uint32_t w = 0; w < ways; ++w) {
+        LruLine &l = set[w];
+        if (l.valid && l.tag == line) {
+            l.last_used = tick;
+            return true;
+        }
+        if (!victim->valid)
+            continue;
+        if (!l.valid || l.last_used < victim->last_used)
+            victim = &l;
+    }
+    if (evicted)
+        *evicted = victim->valid;
+    *victim = {line, tick, true};
+    return false;
+}
+
+} // namespace
+
 NodeCache::NodeCache(const NodeCacheConfig &cfg) : cfg_(cfg)
 {
     lines_.resize(size_t(cfg_.sets) * cfg_.ways);
@@ -22,32 +55,15 @@ NodeCache::NodeCache(const NodeCacheConfig &cfg) : cfg_(cfg)
 bool
 NodeCache::touchLine(uint64_t line)
 {
-    Line *set = lines_.data() + size_t(line % cfg_.sets) * cfg_.ways;
-    ++tick_;
-
-    Line *victim = set;
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &l = set[w];
-        if (l.valid && l.tag == line) {
-            l.last_used = tick_;
-            ++stats_.hits;
-            return true;
-        }
-        // Victim preference: first invalid way, else the least recently
-        // used one; ties break toward the lowest way index, keeping
-        // replacement a pure function of the access sequence.
-        if (!victim->valid)
-            continue;
-        if (!l.valid || l.last_used < victim->last_used)
-            victim = &l;
+    bool evicted = false;
+    if (lruTouch(lines_.data() + size_t(line % cfg_.sets) * cfg_.ways,
+                 cfg_.ways, line, ++tick_, &evicted)) {
+        ++stats_.hits;
+        return true;
     }
-
     ++stats_.misses;
-    if (victim->valid)
+    if (evicted)
         ++stats_.evictions;
-    victim->tag = line;
-    victim->last_used = tick_;
-    victim->valid = true;
     return false;
 }
 
@@ -178,7 +194,7 @@ SharedL2::fillLine(uint64_t line, uint64_t arrival, unsigned unit,
     // Single-server bank queue: service starts when the bank frees.
     const uint64_t start = std::max(arrival, bank.free_at);
     st.queue_stalls += start - arrival;
-    bank.free_at = start + cfg_.bank_cycles_per_request;
+    bank.free_at = start + 1;
     *queue_out = unsigned(start - arrival);
     if (trace_) {
         trace_->record({arrival, uint32_t(bank_idx),
@@ -187,18 +203,11 @@ SharedL2::fillLine(uint64_t line, uint64_t arrival, unsigned unit,
         trace_->record({start, uint32_t(bank_idx),
                         obs::TraceEvent::BankDequeue, unit, 0});
         // Queue depth at this arrival: requests the bank has accepted
-        // but not started by then (service is one request every
-        // bank_cycles_per_request cycles, so the backlog is the lead
-        // of free_at over the clock in service quanta).
-        const uint64_t lead =
-            bank.free_at > arrival ? bank.free_at - arrival : 0;
-        const uint64_t depth =
-            cfg_.bank_cycles_per_request
-                ? (lead + cfg_.bank_cycles_per_request - 1) /
-                      cfg_.bank_cycles_per_request
-                : lead;
+        // but not started by then (one request per cycle, so the
+        // backlog is the lead of free_at over the clock).
         trace_->record({arrival, uint32_t(bank_idx),
-                        obs::TraceEvent::BankQueueDepth, depth, 0});
+                        obs::TraceEvent::BankQueueDepth,
+                        bank.free_at - arrival, 0});
     }
 
     if (cfg_.sets == 0 || cfg_.ways == 0) {
@@ -209,30 +218,14 @@ SharedL2::fillLine(uint64_t line, uint64_t arrival, unsigned unit,
         return unsigned(start + cfg_.miss_latency - arrival);
     }
 
-    Line *set =
-        bank.lines.data() + size_t(line % cfg_.sets) * cfg_.ways;
-    ++bank.tick;
-    Line *victim = set;
-    for (uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &l = set[w];
-        if (l.valid && l.tag == line) {
-            l.last_used = bank.tick;
-            ++st.hits;
-            *fill_out = cfg_.hit_latency;
-            return unsigned(start + cfg_.hit_latency - arrival);
-        }
-        // Same victim preference as NodeCache: first invalid way, else
-        // least recently used, ties toward the lowest way index.
-        if (!victim->valid)
-            continue;
-        if (!l.valid || l.last_used < victim->last_used)
-            victim = &l;
+    if (lruTouch(bank.lines.data() + size_t(line % cfg_.sets) * cfg_.ways,
+                 cfg_.ways, line, ++bank.tick, nullptr)) {
+        ++st.hits;
+        *fill_out = cfg_.hit_latency;
+        return unsigned(start + cfg_.hit_latency - arrival);
     }
 
     ++st.misses;
-    victim->tag = line;
-    victim->last_used = bank.tick;
-    victim->valid = true;
     const uint64_t done = start + cfg_.miss_latency;
     bank.inflight.push_back({line, done, unit});
     *fill_out = cfg_.miss_latency;
@@ -258,13 +251,13 @@ SharedL2::fill(uint64_t addr, uint32_t bytes, uint64_t now,
     AccessBreakdown worst_bd;
     for (uint64_t line = first; line <= last; ++line) {
         // Ring distance between the unit's stop and the line's bank,
-        // paid in hop_latency cycles on the request AND response path.
+        // one cycle per hop on the request AND response path.
         const size_t bank_idx = size_t(line % n_banks);
         const size_t d = stop > bank_idx ? stop - bank_idx
                                          : bank_idx - stop;
         const size_t hops = std::min(d, n_banks - d);
         stats_[bank_idx].hops += 2 * hops;
-        const uint64_t ride = uint64_t(hops) * cfg_.hop_latency;
+        const uint64_t ride = hops;
         const uint64_t arrival = now + ride;
         unsigned queue = 0, service = 0;
         const unsigned at_bank =

@@ -279,13 +279,6 @@ struct L2Config
     unsigned hit_latency = 8;
     /** Cycles from bank service start to data for a DRAM fill. */
     unsigned miss_latency = 80;
-    /** Cycles per interconnect hop between a unit's ring stop and a
-     *  bank's; charged on both the request and the response path. */
-    unsigned hop_latency = 1;
-    /** Bank occupancy per serviced request: a bank accepts a new
-     *  request at most once every this many cycles; later arrivals
-     *  queue (L2Stats::queue_stalls counts the waited cycles). */
-    unsigned bank_cycles_per_request = 1;
 
     /** Total capacity across all banks; 0 for any degenerate
      *  dimension (a zero-capacity L2 is legal: every fill misses). */
@@ -331,19 +324,28 @@ struct L2Config
 inline constexpr L2Config kProbeL2_128KiB{
     /*line_bytes=*/64, /*banks=*/4, /*sets=*/64, /*ways=*/8};
 
+/** One way of a set-associative LRU array (NodeCache, SharedL2). */
+struct LruLine
+{
+    uint64_t tag = 0;       ///< full line index (addr / line_bytes)
+    uint64_t last_used = 0; ///< LRU clock value of the last touch
+    bool valid = false;
+};
+
 /**
  * Chip-level banked cache behind the per-unit L1s.
  *
  * Address-interleaved by L2 line across `banks` banks, each bank a
  * set-associative LRU array (same deterministic lowest-way tie-break
- * as NodeCache) with a single-server service queue. Units and banks
- * sit on a ring: a request from unit u to bank b pays
- * min(|u%B - b|, B - |u%B - b|) hops each way at hop_latency cycles
- * per hop. A fill that misses the array goes to DRAM and is recorded
- * in-flight; a second lookup of the same line while the fill is
- * outstanding MERGES onto it (completing no earlier than the fill,
- * paying no DRAM access and no bank occupancy) — when the two
- * requesters are different units that is a cross_unit_merge, the
+ * as NodeCache) with a single-server service queue that accepts one
+ * request per cycle; later arrivals queue (L2Stats::queue_stalls
+ * counts the waited cycles). Units and banks sit on a ring: a request
+ * from unit u to bank b pays min(|u%B - b|, B - |u%B - b|) hops each
+ * way at one cycle per hop. A fill that misses the array goes to DRAM
+ * and is recorded in-flight; a second lookup of the same line while
+ * the fill is outstanding MERGES onto it (completing no earlier than
+ * the fill, paying no DRAM access and no bank occupancy) — when the
+ * two requesters are different units that is a cross_unit_merge, the
  * chip-level analogue of the MshrFile merge.
  *
  * The model is a pure function of the (addr, bytes, now, unit) call
@@ -381,13 +383,6 @@ class SharedL2
     const L2Config &config() const { return cfg_; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;       ///< full line index (addr / line_bytes)
-        uint64_t last_used = 0; ///< LRU clock value of the last touch
-        bool valid = false;
-    };
-
     /** One outstanding DRAM fill. */
     struct Inflight
     {
@@ -398,7 +393,7 @@ class SharedL2
 
     struct Bank
     {
-        std::vector<Line> lines; ///< sets * ways, set-major
+        std::vector<LruLine> lines; ///< sets * ways, set-major
         std::vector<Inflight> inflight;
         uint64_t free_at = 0; ///< next cycle the bank can start service
         uint64_t tick = 0;    ///< LRU clock
@@ -568,19 +563,12 @@ class NodeCache final : public MemoryModel
     const NodeCacheConfig &config() const { return cfg_; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;       ///< full line index (addr / line_bytes)
-        uint64_t last_used = 0; ///< LRU clock value of the last touch
-        bool valid = false;
-    };
-
     /** Touch one line; fills on miss. @return true on hit. */
     bool touchLine(uint64_t line);
 
     NodeCacheConfig cfg_;
-    std::vector<Line> lines_; ///< sets * ways, set-major
-    uint64_t tick_ = 0;       ///< LRU clock
+    std::vector<LruLine> lines_; ///< sets * ways, set-major
+    uint64_t tick_ = 0;          ///< LRU clock
     CacheStats stats_;
     SharedL2 *next_ = nullptr; ///< borrowed chip-level tier, if any
     unsigned unit_ = 0;        ///< this L1's unit id on the ring

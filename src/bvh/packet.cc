@@ -389,12 +389,14 @@ PacketTraversal::mergeBoxResults()
             entry[r][br.order[i]] = fromBits(br.sorted_dist[i]);
     }
 
-    // One candidate child item per slot some lane hit.
+    // One candidate child item per slot some lane hit, kept in (key,
+    // slot) order: slots arrive ascending, so inserting each after
+    // every candidate with a key <= its own breaks exact-distance ties
+    // by slot index.
     struct Cand
     {
         Item item;
         float key; ///< nearest entry distance over member lanes
-        int slot;
     };
     std::array<Cand, 4> cands;
     int n_cands = 0;
@@ -426,18 +428,15 @@ PacketTraversal::mergeBoxResults()
             it.index = c.index;
             it.count = c.count;
         }
-        cands[size_t(n_cands++)] = {it, key, slot};
+        int j = n_cands++;
+        for (; j > 0 && key < cands[size_t(j - 1)].key; --j)
+            cands[size_t(j)] = cands[size_t(j - 1)];
+        cands[size_t(j)] = {it, key};
     }
     if (split)
         ++stats_->divergence_splits;
 
-    // Push farthest-first so the packet-nearest child pops first;
-    // slot index breaks exact-distance ties deterministically.
-    std::sort(cands.begin(), cands.begin() + n_cands,
-              [](const Cand &a, const Cand &b) {
-                  return a.key != b.key ? a.key < b.key
-                                        : a.slot < b.slot;
-              });
+    // Push farthest-first so the packet-nearest child pops first.
     for (int i = n_cands - 1; i >= 0; --i) {
         stack_.push_back(cands[size_t(i)].item);
         for (unsigned r = 0; r < n_lanes_; ++r)

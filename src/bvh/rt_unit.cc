@@ -89,10 +89,6 @@ RtUnitConfig::normalized() const
     n.issue_width = std::clamp(issue_width, 1u, kMaxIssueWidth);
     n.packet.width = std::clamp(packet.width, 1u, kMaxPacketWidth);
     n.packet.compact_below = std::min(packet.compact_below, n.packet.width);
-    if (n.mem_requests_per_cycle == 0)
-        throw std::invalid_argument(
-            "RtUnitConfig: mem_requests_per_cycle must be at least 1 "
-            "(0 never issues a fetch)");
     if (n.ray_buffer_entries == 0 && n.packet.width == 1)
         throw std::invalid_argument(
             "RtUnitConfig: ray_buffer_entries must be at least 1 "
@@ -223,8 +219,8 @@ RtUnit::classifyIdle() const
 
 /** Route one slot's fetch to memory: straight to the L1 when the MSHR
  *  file is disabled (the legacy unbounded path, bit-for-bit), else
- *  merge-or-allocate through the file. `issued` is the memory-issue
- *  bandwidth consumed this cycle; merges are free (they ride an
+ *  merge-or-allocate through the file. `issued` is set once this
+ *  cycle's one L1 fetch has gone out; merges are free (they ride an
  *  in-flight fill instead of going to memory). The current cycle rides
  *  into MemoryModel::access so a chip-mode L1 can anchor its SharedL2
  *  requests (bank queues, in-flight merges) on the lock-step chip
@@ -232,7 +228,7 @@ RtUnit::classifyIdle() const
  *  becomes absolute boundaries on the queued request — what
  *  classifyIdle() attributes stalled slots against. */
 bool
-RtUnit::issueFetch(size_t slot, const FetchItem &f, unsigned &issued)
+RtUnit::issueFetch(size_t slot, const FetchItem &f, bool &issued)
 {
     uint64_t addr;
     uint32_t bytes;
@@ -262,7 +258,7 @@ RtUnit::issueFetch(size_t slot, const FetchItem &f, unsigned &issued)
                                 uint64_t(slot)});
             return false; // back-pressure: slot retries next cycle
         }
-        if (issued >= cfg_.mem_requests_per_cycle)
+        if (issued)
             return false;
     }
     AccessBreakdown bd;
@@ -273,7 +269,7 @@ RtUnit::issueFetch(size_t slot, const FetchItem &f, unsigned &issued)
     req.queue_until = req.ring_until + bd.queue;
     mem_queue_.push_back(req);
     ++stats_.mem_requests;
-    ++issued;
+    issued = true;
     if (trace_)
         trace_->record({now_, trace_unit_, obs::TraceEvent::FetchIssue,
                         addr, uint64_t(slot)});
@@ -427,13 +423,12 @@ RtUnit::advance(uint64_t cycle)
         it = mem_queue_.erase(it);
     }
     const size_t slots = slotCount();
-    unsigned issued = 0;
+    bool issued = false;
     for (size_t i = 0; i < slots; ++i) {
         FetchItem f;
         if (!pendingFetch(i, &f))
             continue;
-        if (!mshrs_.enabled() &&
-            issued >= cfg_.mem_requests_per_cycle)
+        if (!mshrs_.enabled() && issued)
             break;
         if (holdFetch(i))
             continue;

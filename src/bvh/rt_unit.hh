@@ -66,7 +66,6 @@ struct RtUnitConfig
     unsigned ray_buffer_entries = 32; ///< rays concurrently in flight
     /** Node fetch latency, cycles (MemBackend::FixedLatency). */
     unsigned mem_latency = 20;
-    unsigned mem_requests_per_cycle = 1;
     TraversalMode mode = TraversalMode::Closest;
 
     /** Datapath issue lanes, 1..kMaxIssueWidth. The unit drives up to
@@ -100,9 +99,9 @@ struct RtUnitConfig
     /** The config a unit actually runs, and the one the cost model
      *  prices: issue_width clamped to 1..kMaxIssueWidth, packet.width
      *  to 1..kMaxPacketWidth and packet.compact_below to packet.width.
-     *  @throws std::invalid_argument on a knob that can only livelock:
-     *          mem_requests_per_cycle == 0, or ray_buffer_entries == 0
-     *          without packets (no slot could ever admit work). */
+     *  @throws std::invalid_argument when ray_buffer_entries == 0
+     *          without packets: no slot could ever admit work, so the
+     *          unit could only livelock. */
     RtUnitConfig normalized() const;
 };
 
@@ -393,9 +392,10 @@ class RtUnit
     void retireMshrs();
     /** Route one fetch through the MSHR file (when enabled) or
      *  straight to the L1. @return true when the fetch left the slot
-     *  (allocated or merged); false on MSHR-full or exhausted
-     *  mem-issue bandwidth, leaving the slot in NeedFetch. */
-    bool issueFetch(size_t slot, const FetchItem &f, unsigned &issued);
+     *  (allocated or merged); false on MSHR-full or when this
+     *  cycle's one L1 fetch is already out, leaving the slot in
+     *  NeedFetch. */
+    bool issueFetch(size_t slot, const FetchItem &f, bool &issued);
 
     // ----- per-mode hooks of the publish/advance skeleton -----
     // A "slot" is a scalar Entry, a PacketTraversal or a KnnEntry; the

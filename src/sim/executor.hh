@@ -4,9 +4,9 @@
  *
  * The engine stack is three layers (see ARCHITECTURE.md):
  *
- *   job tier        sim::RenderJob / sim::JobQueue     (sim/stream.hh)
- *   scheduler tier  sim::BatchScheduler                (sim/stream.hh)
- *   executor tier   sim::BatchExecutor                 (this file)
+ *   job tier        sim::RenderJob                 (sim/stream.hh)
+ *   scheduler tier  sim::BatchScheduler            (sim/stream.hh)
+ *   executor tier   sim::BatchExecutor             (this file)
  *
  * The executor is the narrow seam everything above shares: it knows
  * how to simulate ONE batch — a flat array of ray references — on a

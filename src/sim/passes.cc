@@ -42,59 +42,11 @@ foldPass(PassesReport &rep, const EngineReport &pass)
     rep.elapsed_seconds += pass.elapsed_seconds;
 }
 
-/** Run the optional k-NN ride-along pass (PassConfig::knn_index) and
- *  fold its counters into the report totals. */
-void
-foldKnn(PassesReport &rep, const Engine &engine, const PassConfig &cfg)
-{
-    if (!cfg.knn_index)
-        return;
-    rep.knn = engine.runKnn(*cfg.knn_index, cfg.knn_queries);
-    rep.unit.merge(rep.knn.unit);
-    rep.elapsed_seconds += rep.knn.elapsed_seconds;
-}
-
-/** Triangle lookup by id. Ids survive the builder's reordering but
- *  nothing in Bvh4 makes them dense 0..n-1, so the table is sized by
- *  the maximum id actually present — falling back to a hash map when
- *  the id space is too sparse for a direct table to be reasonable. */
-class TriById
-{
-  public:
-    explicit TriById(const std::vector<bvh::SceneTriangle> &tris)
-    {
-        uint32_t max_id = 0;
-        for (const bvh::SceneTriangle &t : tris)
-            max_id = std::max(max_id, t.id);
-        // A dense table up to ~8x the triangle count stays cheap; a
-        // sparser id space (e.g. ids minted from a global counter)
-        // switches to the map rather than allocating by max id.
-        if (tris.empty() ||
-            uint64_t(max_id) < 8 * uint64_t(tris.size()) + 1024) {
-            table_.resize(tris.empty() ? 0 : size_t(max_id) + 1,
-                          nullptr);
-            for (const bvh::SceneTriangle &t : tris)
-                table_[t.id] = &t;
-        } else {
-            map_.reserve(tris.size());
-            for (const bvh::SceneTriangle &t : tris)
-                map_.emplace(t.id, &t);
-        }
-    }
-
-    const bvh::SceneTriangle *
-    operator[](uint32_t id) const
-    {
-        if (!table_.empty() || map_.empty())
-            return id < table_.size() ? table_[id] : nullptr;
-        auto it = map_.find(id);
-        return it == map_.end() ? nullptr : it->second;
-    }
-
-  private:
-    std::vector<const bvh::SceneTriangle *> table_;
-    std::unordered_map<uint32_t, const bvh::SceneTriangle *> map_;
-};
+/** Self-intersection guard: secondary-ray origins are offset by kEps
+ *  along the surface normal and their extents start at t_beg = kEps
+ *  (which is why every traversal path must honor the lower extent
+ *  bound). */
+constexpr float kEps = 1e-3f;
 
 } // namespace
 
@@ -116,7 +68,10 @@ renderPasses(const Engine &engine, const bvh::Bvh4 &bvh,
 
     // Triangle lookup by id (ids survive the builder's reordering and
     // need not be dense).
-    const TriById by_id(bvh.tris);
+    std::unordered_map<uint32_t, const SceneTriangle *> by_id;
+    by_id.reserve(bvh.tris.size());
+    for (const SceneTriangle &t : bvh.tris)
+        by_id.emplace(t.id, &t);
 
     // ---- shading prologue: surface frames, secondary batches --------
     rep.diffuse.assign(n_px, 0.0f);
@@ -131,7 +86,7 @@ renderPasses(const Engine &engine, const bvh::Bvh4 &bvh,
         if (!hit.hit)
             continue;
         const Ray &ray = primary[i];
-        const SceneTriangle *tri = by_id[hit.triangle_id];
+        const SceneTriangle *tri = by_id.at(hit.triangle_id);
         Vec3 n = normalize(cross(tri->v1 - tri->v0, tri->v2 - tri->v0));
         Vec3 org{fp::fromBits(ray.origin[0]), fp::fromBits(ray.origin[1]),
                  fp::fromBits(ray.origin[2])};
@@ -143,89 +98,40 @@ renderPasses(const Engine &engine, const bvh::Bvh4 &bvh,
         rep.diffuse[i] = std::max(0.0f, dot(n, light));
 
         shadow_rays.push_back(RayGen::shadowRay(
-            toFloat3(p), toFloat3(n), toFloat3(light), cfg.eps,
+            toFloat3(p), toFloat3(n), toFloat3(light), kEps,
             cfg.t_max));
         shadow_px.push_back(i);
         if (cfg.ao_samples > 0) {
             gen.appendAoFan(ao_rays, toFloat3(p), toFloat3(n),
-                            cfg.ao_samples, cfg.eps, cfg.ao_radius);
+                            cfg.ao_samples, kEps, cfg.ao_radius);
             ao_px.push_back(i);
         }
         if (cfg.bounce) {
             bounce_rays.push_back(RayGen::bounceRay(
-                toFloat3(p), toFloat3(n), toFloat3(dir), cfg.eps,
+                toFloat3(p), toFloat3(n), toFloat3(dir), kEps,
                 cfg.t_max));
             bounce_px.push_back(i);
         }
     }
 
-    // The reductions below consume nothing but hit flags/records, so
-    // they are shared between the sequential and streaming paths.
-    const auto reduceShadow = [&](const std::vector<bvh::HitRecord>
-                                      &hits) {
-        for (size_t s = 0; s < shadow_px.size(); ++s)
-            rep.lit[shadow_px[s]] = hits[s].hit ? 0 : 1;
-    };
-    const auto reduceAo = [&](const std::vector<bvh::HitRecord> &hits) {
-        for (size_t f = 0; f < ao_px.size(); ++f) {
-            unsigned occluded = 0;
-            for (unsigned s = 0; s < cfg.ao_samples; ++s)
-                occluded += hits[f * cfg.ao_samples + s].hit ? 1 : 0;
-            rep.ao_open[ao_px[f]] =
-                1.0f - float(occluded) / float(cfg.ao_samples);
-        }
-    };
-    const auto reduceBounce = [&](const std::vector<bvh::HitRecord>
-                                      &hits) {
-        for (size_t b = 0; b < bounce_px.size(); ++b)
-            rep.bounce_hits[bounce_px[b]] = hits[b];
-    };
-
-    if (cfg.stream_secondary) {
-        // The secondary passes become CONCURRENT jobs on the streaming
-        // service: both occlusion batches (shadow + AO) are any-hit
-        // and pack into shared batches, the mirror batch runs
-        // closest-hit in its own. Hit records — and therefore every
-        // per-pixel output — are bit-identical to the sequential
-        // branch below; only timing attribution changes (merged in
-        // rep.stream rather than per pass).
-        std::vector<RenderJob> jobs;
-        jobs.push_back({1, 0, true, std::move(shadow_rays)});
-        if (cfg.ao_samples > 0)
-            jobs.push_back({2, 0, true, std::move(ao_rays)});
-        if (cfg.bounce)
-            jobs.push_back({3, 0, false, std::move(bounce_rays)});
-        rep.stream = StreamingService::run(engine, bvh,
-                                           std::move(jobs), cfg.stream);
-        rep.traversal.merge(rep.stream.traversal);
-        rep.unit.merge(rep.stream.unit);
-        rep.total_rays += rep.stream.total_rays;
-        rep.elapsed_seconds += rep.stream.elapsed_seconds;
-
-        reduceShadow(rep.stream.job(1)->hits);
-        if (cfg.ao_samples > 0)
-            reduceAo(rep.stream.job(2)->hits);
-        if (cfg.bounce)
-            reduceBounce(rep.stream.job(3)->hits);
-        // The raw records were reduced into the per-pixel arrays;
-        // release them as the sequential branch does.
-        for (JobReport &j : rep.stream.jobs)
-            j.hits = {};
-        foldKnn(rep, engine, cfg);
-        return rep;
-    }
-
     // ---- pass 2: shadow any-hit (only the flag is defined) ----------
     rep.shadow = engine.run(bvh, shadow_rays, true);
     foldPass(rep, rep.shadow);
-    reduceShadow(rep.shadow.hits);
+    for (size_t s = 0; s < shadow_px.size(); ++s)
+        rep.lit[shadow_px[s]] = rep.shadow.hits[s].hit ? 0 : 1;
     rep.shadow.hits = {}; // reduced into lit; release the raw records
 
     // ---- pass 3: ambient-occlusion any-hit fans ---------------------
     if (cfg.ao_samples > 0) {
         rep.ao = engine.run(bvh, ao_rays, true);
         foldPass(rep, rep.ao);
-        reduceAo(rep.ao.hits);
+        for (size_t f = 0; f < ao_px.size(); ++f) {
+            unsigned occluded = 0;
+            for (unsigned s = 0; s < cfg.ao_samples; ++s)
+                occluded += rep.ao.hits[f * cfg.ao_samples + s].hit;
+            rep.ao_open[ao_px[f]] =
+                1.0f - float(occluded) / float(cfg.ao_samples);
+        }
         rep.ao.hits = {}; // reduced into ao_open
     }
 
@@ -233,11 +139,10 @@ renderPasses(const Engine &engine, const bvh::Bvh4 &bvh,
     if (cfg.bounce) {
         rep.bounce = engine.run(bvh, bounce_rays, false);
         foldPass(rep, rep.bounce);
-        reduceBounce(rep.bounce.hits);
+        for (size_t b = 0; b < bounce_px.size(); ++b)
+            rep.bounce_hits[bounce_px[b]] = rep.bounce.hits[b];
         rep.bounce.hits = {}; // rehomed per pixel in bounce_hits
     }
-
-    foldKnn(rep, engine, cfg);
     return rep;
 }
 

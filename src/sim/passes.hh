@@ -28,7 +28,6 @@
 
 #include "core/raygen.hh"
 #include "sim/engine.hh"
-#include "sim/stream.hh"
 
 namespace rayflex::sim
 {
@@ -44,12 +43,6 @@ struct PassConfig
     /** Directional light; normalized internally. */
     core::Float3 light_dir{0.5f, 1.0f, 0.3f};
 
-    /** Self-intersection guard: secondary-ray origins are offset by
-     *  eps along the surface normal and their extents start at
-     *  t_beg = eps (which is why every traversal path must honor the
-     *  lower extent bound). */
-    float eps = 1e-3f;
-
     /** Ambient-occlusion rays per hit pixel; 0 disables the AO pass. */
     unsigned ao_samples = 0;
 
@@ -61,35 +54,6 @@ struct PassConfig
 
     /** Seed for the AO fan azimuth (core::RayGen). */
     uint64_t seed = 1;
-
-    /** Run the secondary passes as concurrent streaming JOBS through
-     *  sim::StreamingService instead of sequential engine runs: the
-     *  shadow batch (job id 1) and AO fans (job id 2) are both any-hit
-     *  and pack into shared batches (cross-job packet formation); the
-     *  bounce batch (job id 3) runs closest-hit in its own batches.
-     *  Per-pixel outputs (diffuse/lit/ao_open/bounce_hits) are
-     *  bit-identical to the sequential path — hit records depend only
-     *  on (ray, BVH, mode) — but the per-pass EngineReports
-     *  shadow/ao/bounce stay empty: mixed batches cannot be attributed
-     *  to one pass, so the counters land merged in
-     *  PassesReport::stream (and the report totals) instead. */
-    bool stream_secondary = false;
-
-    /** Scheduler knobs for stream_secondary (batch size, cross-job
-     *  packing, queue bound). */
-    StreamConfig stream;
-
-    /** Optional k-NN ride-along: when set, the scenario finishes with
-     *  an Engine::runKnn pass answering `knn_queries` against this
-     *  index on the same engine (and persistent worker pool) as the
-     *  ray passes. Results and counters land in PassesReport::knn; the
-     *  index must outlive the renderPasses() call. Under the
-     *  CycleAccurate model the engine's datapath config must be an
-     *  extended one (runKnn throws otherwise). */
-    const bvh::KnnIndex *knn_index = nullptr;
-
-    /** Queries for the k-NN ride-along; ignored without knn_index. */
-    std::vector<bvh::KnnQuery> knn_queries;
 };
 
 /** Aggregate of a multi-pass scenario run. The per-pixel vectors are
@@ -122,17 +86,6 @@ struct PassesReport
 
     uint64_t total_rays = 0;
     double elapsed_seconds = 0; ///< sum of the passes' engine times
-
-    /** Streaming-mode report (PassConfig::stream_secondary): per-job
-     *  simulated latencies and the merged counters of the secondary
-     *  jobs. Empty when streaming is off. */
-    StreamReport stream;
-
-    /** k-NN ride-along report (PassConfig::knn_index): neighbor lists
-     *  for knn_queries plus the merged k-NN traversal counters. Its
-     *  unit counters fold into `unit` and its wall-clock into
-     *  elapsed_seconds. Empty when no index was configured. */
-    KnnReport knn;
 };
 
 /**

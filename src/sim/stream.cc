@@ -42,7 +42,7 @@ BatchScheduler::plan(const std::vector<RenderJob> &jobs) const
         return plans;
 
     // The virtual formation clock: starts at the first arrival and
-    // advances at the configured planning rate per scheduled ray.
+    // advances kPlanCyclesPerRay per scheduled ray.
     uint64_t v = jobs.front().arrival_tick;
 
     std::vector<uint32_t> eligible; // job indices, (arrival, id) order
@@ -112,49 +112,32 @@ BatchScheduler::plan(const std::vector<RenderJob> &jobs) const
         b.n_jobs = seen.size();
 
         remaining -= b.rays.size();
-        v += uint64_t(b.rays.size()) * cfg_.plan_cycles_per_ray;
+        v += uint64_t(b.rays.size()) * kPlanCyclesPerRay;
         plans.push_back(std::move(b));
     }
     return plans;
 }
 
-StreamingService::StreamingService(const Engine &engine,
-                                   const StreamConfig &cfg)
-    : engine_(engine), cfg_(cfg), queue_(cfg.queue_capacity)
-{
-    // The collector drains the bounded queue into the job table as
-    // submissions arrive, so back-pressure engages only when
-    // submitters outrun the drain by queue_capacity jobs.
-    collector_ = std::thread([this] {
-        while (std::optional<RenderJob> job = queue_.pop())
-            jobs_.push_back(std::move(*job));
-    });
-}
-
-StreamingService::~StreamingService()
-{
-    queue_.close();
-    if (collector_.joinable())
-        collector_.join();
-}
-
 void
 StreamingService::submit(RenderJob job)
 {
-    if (!queue_.push(std::move(job)))
+    std::lock_guard<std::mutex> lk(m_);
+    if (finished_)
         throw std::logic_error(
             "StreamingService: submit after finish");
+    jobs_.push_back(std::move(job));
 }
 
 StreamReport
 StreamingService::finish(const bvh::Bvh4 &bvh)
 {
-    if (finished_)
-        throw std::logic_error(
-            "StreamingService: finish called twice");
-    finished_ = true;
-    queue_.close();
-    collector_.join();
+    {
+        std::lock_guard<std::mutex> lk(m_);
+        if (finished_)
+            throw std::logic_error(
+                "StreamingService: finish called twice");
+        finished_ = true;
+    }
 
     {
         std::unordered_set<uint64_t> ids;

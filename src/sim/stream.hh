@@ -3,16 +3,14 @@
  * Job and scheduler tiers of the streaming render service.
  *
  * The batch-synchronous sim::Engine answers "how long does THIS
- * workload take"; the ROADMAP's north star is serving heavy traffic
- * from many concurrent clients, where the questions are per-job: how
- * long did each client wait, in simulated cycles, and how fairly was
- * the machine shared. This module adds the two tiers above the
+ * workload take"; a service shared by concurrent clients asks
+ * per-job questions: how long did each client wait, in simulated
+ * cycles, and how fairly was the machine shared. This module adds the two tiers above the
  * executor (sim/executor.hh) that make those questions answerable:
  *
  *   * job tier — sim::RenderJob is one client request (rays + mode +
- *     arrival tick from a fixed, caller-supplied schedule) and
- *     sim::JobQueue is the bounded submission channel that
- *     back-pressures submitters when the service falls behind;
+ *     arrival tick from a fixed, caller-supplied schedule), which any
+ *     number of client threads submit() to the service;
  *   * scheduler tier — sim::BatchScheduler packs rays from different
  *     in-flight jobs into shared batches (cross-job packet formation:
  *     one job's coherent rays fill another's divergence-thinned
@@ -22,7 +20,7 @@
  *
  * Determinism contract, extended from the engine: the batch plan is a
  * PURE function of the job schedule (ids, arrival ticks, modes, rays,
- * StreamConfig) — never of worker count, wall-clock or queue timing —
+ * StreamConfig) — never of worker count, wall-clock or submission order —
  * and each planned batch is executed by a freshly constructed unit.
  * A fixed arrival schedule therefore yields bit-identical hits,
  * per-job simulated latencies and merged statistics at every worker
@@ -35,12 +33,8 @@
 #ifndef RAYFLEX_SIM_STREAM_HH
 #define RAYFLEX_SIM_STREAM_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -72,79 +66,12 @@ struct RenderJob
     std::vector<core::Ray> rays;
 };
 
-/**
- * Bounded MPMC queue: push blocks while the queue is full (the
- * back-pressure the job tier applies to submitters), pop blocks while
- * it is empty, close() wakes everyone. Element order is FIFO.
- */
-template <typename T> class BoundedQueue
-{
-  public:
-    explicit BoundedQueue(size_t capacity)
-        : cap_(capacity ? capacity : 1)
-    {
-    }
-
-    /** Block until space is available, then enqueue. @return false
-     *  when the queue was closed (the item is not enqueued). */
-    bool
-    push(T item)
-    {
-        std::unique_lock<std::mutex> lk(m_);
-        cv_space_.wait(lk,
-                       [this] { return closed_ || q_.size() < cap_; });
-        if (closed_)
-            return false;
-        q_.push_back(std::move(item));
-        cv_item_.notify_one();
-        return true;
-    }
-
-    /** Block until an item is available; std::nullopt once the queue
-     *  is closed AND drained. */
-    std::optional<T>
-    pop()
-    {
-        std::unique_lock<std::mutex> lk(m_);
-        cv_item_.wait(lk, [this] { return closed_ || !q_.empty(); });
-        if (q_.empty())
-            return std::nullopt;
-        T item = std::move(q_.front());
-        q_.pop_front();
-        cv_space_.notify_one();
-        return item;
-    }
-
-    /** No further pushes succeed; blocked producers and consumers
-     *  wake. Items already queued remain poppable. */
-    void
-    close()
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        closed_ = true;
-        cv_item_.notify_all();
-        cv_space_.notify_all();
-    }
-
-    size_t capacity() const { return cap_; }
-
-    size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        return q_.size();
-    }
-
-  private:
-    const size_t cap_;
-    mutable std::mutex m_;
-    std::condition_variable cv_item_, cv_space_;
-    std::deque<T> q_;
-    bool closed_ = false;
-};
-
-/** The job tier's submission channel. */
-using JobQueue = BoundedQueue<RenderJob>;
+/** Simulated cycles per scheduled ray by which the scheduler's
+ *  formation clock advances between batches: how far the simulated
+ *  clock has moved, and hence which arrivals are in flight, when the
+ *  next batch forms. A fixed model parameter, not a measurement, so
+ *  the plan stays a pure function of the schedule. */
+inline constexpr unsigned kPlanCyclesPerRay = 8;
 
 /** Scheduler-tier configuration. */
 struct StreamConfig
@@ -160,18 +87,6 @@ struct StreamConfig
      *  packing against. Changes batch composition (and therefore
      *  timing and latency), never hit records. */
     bool cross_job_packing = true;
-
-    /** Planning-rate estimate (simulated cycles per ray) that advances
-     *  the scheduler's formation clock between batches — how far the
-     *  simulated clock has moved, and hence which arrivals are
-     *  in-flight, when the next batch forms. A fixed model parameter
-     *  (NOT a measurement), so the plan stays a pure function of the
-     *  schedule. */
-    unsigned plan_cycles_per_ray = 8;
-
-    /** JobQueue capacity: submissions beyond this many undrained jobs
-     *  block the submitter. */
-    size_t queue_capacity = 64;
 };
 
 /** One scheduled batch: which (job, ray) pairs run together, in
@@ -198,7 +113,7 @@ struct PlannedBatch
  * the service's determinism contract reduces to the executor's.
  *
  * Formation model: a virtual clock starts at the first arrival and
- * advances plan_cycles_per_ray per scheduled ray. Each round, the
+ * advances kPlanCyclesPerRay per scheduled ray. Each round, the
  * batch takes the traversal mode of the earliest in-flight job and
  * fills with that mode's in-flight jobs — round-robin one ray per job
  * in (arrival, id) order when cross-job packing is on, FIFO from the
@@ -333,26 +248,28 @@ struct StreamReport
 
 /**
  * The streaming front-end over an existing Engine: concurrent clients
- * submit() RenderJobs through the bounded JobQueue (blocking when the
- * queue is full), and finish() closes intake, plans the batches, and
- * executes them through the engine's batch loop and worker pool,
- * returning the per-job and aggregate report. The engine's threads/model/rt/dp/chip knobs apply;
- * EngineConfig::batch_size and any_hit are ignored, superseded by
- * StreamConfig::batch_size and the per-job modes.
+ * submit() RenderJobs, and finish() closes intake, plans the batches,
+ * and executes them through the engine's batch loop and worker pool,
+ * returning the per-job and aggregate report. The engine's
+ * threads/model/rt/dp/chip knobs apply; EngineConfig::batch_size and
+ * any_hit are ignored, superseded by StreamConfig::batch_size and the
+ * per-job modes.
  *
  * One service instance is one run: submit() after finish() throws.
  */
 class StreamingService
 {
   public:
-    StreamingService(const Engine &engine, const StreamConfig &cfg = {});
-    ~StreamingService();
+    StreamingService(const Engine &engine, const StreamConfig &cfg = {})
+        : engine_(engine), cfg_(cfg)
+    {
+    }
 
     StreamingService(const StreamingService &) = delete;
     StreamingService &operator=(const StreamingService &) = delete;
 
-    /** Enqueue a job; blocks while queue_capacity jobs are undrained.
-     *  Safe to call from many submitter threads concurrently.
+    /** Record a job. Safe to call from many submitter threads
+     *  concurrently.
      *  @throws std::logic_error after finish(). */
     void submit(RenderJob job);
 
@@ -371,8 +288,7 @@ class StreamingService
   private:
     const Engine &engine_;
     StreamConfig cfg_;
-    JobQueue queue_;
-    std::thread collector_; ///< drains queue_ into jobs_
+    std::mutex m_; ///< guards jobs_ and finished_ against submit()
     std::vector<RenderJob> jobs_;
     bool finished_ = false;
 };

@@ -22,7 +22,6 @@
 #include "core/raygen.hh"
 #include "pipeline/drivers.hh"
 #include "sim/engine.hh"
-#include "sim/passes.hh"
 
 using namespace rayflex;
 using namespace rayflex::bvh;
@@ -599,43 +598,4 @@ TEST(KnnInactive, RayWorkloadsKeepZeroKnnCounters)
     const sim::EngineReport rep = engine.run(bvh, rays);
     EXPECT_GT(rep.unit.rays_completed, 0u);
     EXPECT_EQ(rep.unit.knn, KnnStats{});
-}
-
-TEST(KnnPasses, RenderPassesKnnRideAlong)
-{
-    // The ride-along: a render scenario that also carries k-NN queries
-    // answers them on the same engine and folds the counters in —
-    // without perturbing any per-pixel ray output.
-    auto tris = makeSphere({0, 0, 0}, 1.5f, 8, 10);
-    const Bvh4 bvh = buildBvh4(std::move(tris));
-    const unsigned dims = 8;
-    const std::vector<DataPoint> cloud =
-        makePointCloud(150, dims, 4, 61);
-    const KnnIndex index = buildKnnIndex(cloud);
-
-    sim::EngineConfig ecfg;
-    ecfg.model = sim::ExecutionModel::Functional;
-    const sim::Engine engine(ecfg);
-
-    sim::PassConfig pcfg;
-    pcfg.camera.eye = {0.0f, 0.0f, 6.0f};
-    pcfg.camera.width = 8;
-    pcfg.camera.height = 8;
-
-    const sim::PassesReport plain =
-        sim::renderPasses(engine, bvh, pcfg);
-
-    pcfg.knn_index = &index;
-    pcfg.knn_queries =
-        makeQueries(40, dims, 3, KnnMetric::Euclidean, 62);
-    const sim::PassesReport rode =
-        sim::renderPasses(engine, bvh, pcfg);
-
-    ASSERT_TRUE(allBitIdentical(
-        rode.knn.results, goldenAll(cloud, pcfg.knn_queries, dims)));
-    EXPECT_EQ(rode.knn.knn.queries, pcfg.knn_queries.size());
-    // Ray outputs are untouched by the ride-along.
-    EXPECT_EQ(rode.diffuse, plain.diffuse);
-    EXPECT_EQ(rode.lit, plain.lit);
-    EXPECT_EQ(plain.knn.results.size(), 0u); // off by default
 }

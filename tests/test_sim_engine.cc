@@ -394,45 +394,37 @@ TEST(SimEngine, MaxCyclesExceptionPropagatesFromWorkerThreads)
 
 TEST(SimEngine, LivelockingKnobsFailAtConstruction)
 {
-    // A scalar unit with no ray-buffer entries, or one that may issue
-    // no fetch per cycle, could only spin until max_cycles_per_batch.
-    // RtUnitConfig::normalized() rejects both when the unit is built,
-    // naming the knob, for rays and k-NN queries alike.
+    // A scalar unit with no ray-buffer entries could only spin until
+    // max_cycles_per_batch. RtUnitConfig::normalized() rejects it when
+    // the unit is built, naming the knob, for rays and k-NN queries
+    // alike.
     Bvh4 bvh = testScene();
     std::vector<Ray> rays = testRays(bvh, 0);
     const KnnIndex index = buildKnnIndex(makePointCloud(50, 8, 2, 5));
     core::RayFlexDatapath dp(core::kExtendedUnified);
 
-    for (const char *knob :
-         {"ray_buffer_entries", "mem_requests_per_cycle"}) {
-        RtUnitConfig rt;
-        (std::string(knob) == "ray_buffer_entries"
-             ? rt.ray_buffer_entries
-             : rt.mem_requests_per_cycle) = 0;
-        try {
-            RtUnit unit(bvh, dp.config(), rt);
-            ADD_FAILURE() << knob << " = 0 was accepted";
-        } catch (const std::invalid_argument &e) {
-            EXPECT_NE(std::string(e.what()).find(knob),
-                      std::string::npos)
-                << e.what();
-        }
-        // k-NN strips packets, so even a packet config cannot give a
-        // zero-entry k-NN unit a slot.
-        RtUnitConfig knn_rt = rt;
-        knn_rt.packet.width = 8;
-        EXPECT_THROW(RtUnit(index, dp.config(), knn_rt),
-                     std::invalid_argument)
-            << knob;
-
-        sim::EngineConfig cfg;
-        cfg.threads = 2;
-        cfg.batch_size = 64;
-        cfg.rt = rt;
-        EXPECT_THROW(sim::Engine(cfg).run(bvh, rays),
-                     std::invalid_argument)
-            << knob;
+    RtUnitConfig rt;
+    rt.ray_buffer_entries = 0;
+    try {
+        RtUnit unit(bvh, dp.config(), rt);
+        ADD_FAILURE() << "ray_buffer_entries = 0 was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("ray_buffer_entries"),
+                  std::string::npos)
+            << e.what();
     }
+    // k-NN strips packets, so even a packet config cannot give a
+    // zero-entry k-NN unit a slot.
+    RtUnitConfig knn_rt = rt;
+    knn_rt.packet.width = 8;
+    EXPECT_THROW(RtUnit(index, dp.config(), knn_rt),
+                 std::invalid_argument);
+
+    sim::EngineConfig cfg;
+    cfg.threads = 2;
+    cfg.batch_size = 64;
+    cfg.rt = rt;
+    EXPECT_THROW(sim::Engine(cfg).run(bvh, rays), std::invalid_argument);
 
     // A packet slot stands in for `width` entries and always exists,
     // so a zero-entry packet unit still runs.

@@ -1,17 +1,15 @@
 /**
  * @file
  * Tests of the streaming render service (job / scheduler / executor
- * tiers): JobQueue back-pressure, the extended determinism contract
- * (bit-identical hits, per-job simulated latencies and merged stats at
- * every worker count for a fixed arrival schedule), cross-job packet
+ * tiers): the extended determinism contract (bit-identical hits,
+ * per-job simulated latencies and merged stats at every worker count
+ * for a fixed arrival schedule), cross-job packet
  * formation, head-of-line blocking vs packing, and the batch-API pins
  * that freeze Engine::run / renderPasses counters across the tier
  * refactor.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -130,72 +128,6 @@ jobReportsIdentical(const sim::JobReport &a, const sim::JobReport &b)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// Job tier: the bounded submission channel.
-// ---------------------------------------------------------------------
-
-TEST(JobQueue, FifoWithinCapacity)
-{
-    sim::BoundedQueue<int> q(4);
-    EXPECT_EQ(q.capacity(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(q.push(i));
-    EXPECT_EQ(q.size(), 4u);
-    for (int i = 0; i < 4; ++i) {
-        auto v = q.pop();
-        ASSERT_TRUE(v.has_value());
-        EXPECT_EQ(*v, i);
-    }
-}
-
-TEST(JobQueue, PushBlocksWhenFullUntilPopMakesSpace)
-{
-    sim::BoundedQueue<int> q(2);
-    ASSERT_TRUE(q.push(1));
-    ASSERT_TRUE(q.push(2));
-
-    std::atomic<bool> third_pushed{false};
-    std::thread producer([&] {
-        ASSERT_TRUE(q.push(3)); // blocks: queue is at capacity
-        third_pushed = true;
-    });
-    // Back-pressure: the producer must still be blocked after a grace
-    // period with the queue full.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(third_pushed.load());
-    EXPECT_EQ(q.size(), 2u);
-
-    auto v = q.pop(); // frees one slot; the producer completes
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 1);
-    producer.join();
-    EXPECT_TRUE(third_pushed.load());
-    EXPECT_EQ(*q.pop(), 2);
-    EXPECT_EQ(*q.pop(), 3);
-}
-
-TEST(JobQueue, CloseDrainsThenSignalsAndRejectsPushes)
-{
-    sim::BoundedQueue<int> q(8);
-    ASSERT_TRUE(q.push(7));
-    q.close();
-    EXPECT_FALSE(q.push(8)); // rejected, not enqueued
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value()); // queued items remain poppable
-    EXPECT_EQ(*v, 7);
-    EXPECT_FALSE(q.pop().has_value()); // closed and drained
-}
-
-TEST(JobQueue, CloseWakesBlockedProducer)
-{
-    sim::BoundedQueue<int> q(1);
-    ASSERT_TRUE(q.push(1));
-    std::thread producer([&] { EXPECT_FALSE(q.push(2)); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.close();
-    producer.join();
-}
 
 // ---------------------------------------------------------------------
 // Scheduler tier: plan shape and the service determinism contract.
@@ -459,49 +391,6 @@ TEST(CrossJobPacking, PackingBeatsHeadOfLineBlockingForSmallJobs)
     EXPECT_LT(ps->latency, hs->latency);
     EXPECT_LT(ps->queue_wait, hs->queue_wait);
     EXPECT_LT(ps->p99_ray_latency, hs->p99_ray_latency);
-}
-
-// ---------------------------------------------------------------------
-// Passes-as-jobs: streaming secondary passes reproduce the sequential
-// per-pixel outputs bit for bit.
-// ---------------------------------------------------------------------
-
-TEST(StreamPasses, StreamedSecondariesMatchSequentialPerPixel)
-{
-    Bvh4 bvh = testScene();
-    sim::Engine engine(packetEngineConfig(2));
-
-    sim::PassConfig pc;
-    pc.camera.eye = {0.5f, 1.0f, 9.0f};
-    pc.camera.look_at = {0.0f, 0.0f, 0.0f};
-    pc.camera.width = 16;
-    pc.camera.height = 16;
-    pc.ao_samples = 2;
-    pc.bounce = true;
-    pc.seed = 7;
-    sim::PassesReport seq = sim::renderPasses(engine, bvh, pc);
-
-    pc.stream_secondary = true;
-    pc.stream.batch_size = 64;
-    sim::PassesReport str = sim::renderPasses(engine, bvh, pc);
-
-    ASSERT_EQ(str.lit, seq.lit);
-    ASSERT_EQ(str.diffuse.size(), seq.diffuse.size());
-    for (size_t i = 0; i < seq.diffuse.size(); ++i) {
-        EXPECT_EQ(toBits(str.diffuse[i]), toBits(seq.diffuse[i])) << i;
-        EXPECT_EQ(toBits(str.ao_open[i]), toBits(seq.ao_open[i])) << i;
-        EXPECT_TRUE(bitIdentical(str.bounce_hits[i], seq.bounce_hits[i]))
-            << i;
-    }
-    // Same rays traversed, merged into the stream report instead of
-    // the per-pass ones (which stay empty in stream mode).
-    EXPECT_EQ(str.total_rays, seq.total_rays);
-    EXPECT_EQ(str.shadow.hits.size() + str.shadow.batches, 0u);
-    EXPECT_EQ(str.stream.jobs.size(), 3u);
-    EXPECT_GT(str.stream.unit.cycles, 0u);
-    // Shadow and AO are both any-hit and in flight together: the
-    // occlusion batches actually pack across the two jobs.
-    EXPECT_GT(str.stream.unit.packet.cross_job_fetches_shared, 0u);
 }
 
 // ---------------------------------------------------------------------
