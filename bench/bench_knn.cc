@@ -99,10 +99,10 @@ BM_KnnScalingSweep(benchmark::State &state)
     state.counters["queries_per_kcycle"] =
         1000.0 * n / double(rep.unit.cycles);
     state.counters["candidates_per_query"] =
-        double(rep.knn.candidates) / n;
+        double(rep.unit.knn.candidates) / n;
     state.counters["beats_per_query"] =
-        double(rep.knn.distance_beats) / n;
-    state.counters["pruned_per_query"] = double(rep.knn.pruned) / n;
+        double(rep.unit.knn.distance_beats) / n;
+    state.counters["pruned_per_query"] = double(rep.unit.knn.pruned) / n;
     state.counters["beats_per_cycle"] =
         double(rep.unit.datapath_beats) / double(rep.unit.cycles);
     if (cached)

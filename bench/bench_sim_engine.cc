@@ -188,10 +188,9 @@ BM_ShadowAnyHitCycleAccurate(benchmark::State &state)
     sim::EngineConfig cfg;
     cfg.threads = unsigned(state.range(0));
     cfg.batch_size = 128;
-    cfg.any_hit = true;
     sim::Engine engine(cfg); // pool outlives the timing loop
     for (auto _ : state) {
-        auto rep = engine.run(bvh, rays);
+        auto rep = engine.run(bvh, rays, true);
         benchmark::DoNotOptimize(rep.unit.cycles);
     }
     state.SetItemsProcessed(int64_t(state.iterations()) *

@@ -118,7 +118,7 @@ main(int argc, char **argv)
         printf("  %.0f cycles/query; at 1 GHz: %.1f kqueries/s\n",
                double(crep.unit.cycles) / double(n_queries),
                1e6 * double(n_queries) / double(crep.unit.cycles));
-        const bvh::KnnStats &ks = frep.knn;
+        const bvh::KnnStats &ks = frep.unit.knn;
         printf("  traversal: %llu/%zu candidates scored, "
                "%llu subtrees pruned, frontier peak %llu\n\n",
                (unsigned long long)ks.candidates / n_queries, n_points,

@@ -15,6 +15,10 @@ namespace rayflex::bvh
 namespace
 {
 
+constexpr unsigned kSahBins = 16;      ///< binned-SAH bucket count
+constexpr float kTraversalCost = 1.0f; ///< SAH node cost
+constexpr float kIntersectCost = 1.5f; ///< SAH triangle cost
+
 /** Temporary binary node used during the build. */
 struct BinNode
 {
@@ -67,13 +71,12 @@ struct Builder
             return idx;
         }
 
-        const unsigned nbins = params.sah_bins;
-        std::vector<Aabb> bin_bounds(nbins);
-        std::vector<uint32_t> bin_count(nbins, 0);
+        std::vector<Aabb> bin_bounds(kSahBins);
+        std::vector<uint32_t> bin_count(kSahBins, 0);
         auto bin_of = [&](const SceneTriangle &t) {
             float rel = (t.centroid()[axis] - lo) / width;
-            int b = int(rel * float(nbins));
-            return std::clamp(b, 0, int(nbins) - 1);
+            int b = int(rel * float(kSahBins));
+            return std::clamp(b, 0, int(kSahBins) - 1);
         };
         for (uint32_t i = first; i < first + count; ++i) {
             int b = bin_of(tris[i]);
@@ -82,11 +85,11 @@ struct Builder
         }
 
         // Sweep for the cheapest partition boundary.
-        std::vector<float> right_area(nbins, 0.0f);
-        std::vector<uint32_t> right_count(nbins, 0);
+        std::vector<float> right_area(kSahBins, 0.0f);
+        std::vector<uint32_t> right_count(kSahBins, 0);
         Aabb acc;
         uint32_t cnt = 0;
-        for (int b = int(nbins) - 1; b >= 1; --b) {
+        for (int b = int(kSahBins) - 1; b >= 1; --b) {
             acc.grow(bin_bounds[b]);
             cnt += bin_count[b];
             right_area[b] = acc.surfaceArea();
@@ -97,14 +100,14 @@ struct Builder
         acc = {};
         cnt = 0;
         const float parent_area = bounds.surfaceArea();
-        for (unsigned b = 0; b + 1 < nbins; ++b) {
+        for (unsigned b = 0; b + 1 < kSahBins; ++b) {
             acc.grow(bin_bounds[b]);
             cnt += bin_count[b];
             if (cnt == 0 || right_count[b + 1] == 0)
                 continue;
             float cost =
-                params.traversal_cost +
-                params.intersect_cost *
+                kTraversalCost +
+                kIntersectCost *
                     (acc.surfaceArea() * float(cnt) +
                      right_area[b + 1] * float(right_count[b + 1])) /
                     std::max(parent_area, 1e-20f);
@@ -114,7 +117,7 @@ struct Builder
             }
         }
 
-        float leaf_cost = params.intersect_cost * float(count);
+        float leaf_cost = kIntersectCost * float(count);
         if (best_split < 0 ||
             (best_cost >= leaf_cost &&
              count <= 4 * params.max_leaf_size)) {

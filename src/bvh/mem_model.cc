@@ -151,15 +151,6 @@ SharedL2::SharedL2(const L2Config &cfg) : cfg_(cfg)
     stats_.resize(n_banks);
 }
 
-L2Stats
-SharedL2::totals() const
-{
-    L2Stats t;
-    for (const L2Stats &s : stats_)
-        t.merge(s);
-    return t;
-}
-
 unsigned
 SharedL2::fillLine(uint64_t line, uint64_t arrival, unsigned unit,
                    unsigned *queue_out, unsigned *fill_out)

@@ -77,6 +77,19 @@ struct AccessBreakdown
     unsigned fill = 0;  ///< L2 service / DRAM fill / in-flight merge
 };
 
+/** Absolute timing of one fetch's fill: its completion cycle and the
+ *  phase boundaries of its latency, from the AccessBreakdown at issue
+ *  (issue <= l1_until <= ring_until <= queue_until <= done_cycle). A
+ *  requester merged onto an in-flight fill copies the fill's timing,
+ *  since it waits on the same fill through the same phases. */
+struct FillTiming
+{
+    uint64_t done_cycle = 0;
+    uint64_t l1_until = 0;    ///< end of the L1 phase
+    uint64_t ring_until = 0;  ///< end of the interconnect phase
+    uint64_t queue_until = 0; ///< end of the bank-queue phase
+};
+
 /** Byte stride of one WideNode in the synthetic BVH address space:
  *  four children of 32 bytes each (six bounds floats + index + count). */
 inline constexpr uint32_t kNodeStrideBytes = 128;
@@ -166,29 +179,15 @@ class MshrFile
     /** True when the file models anything (mshrs > 0). */
     bool enabled() const { return entries_ > 0; }
 
-    /** One in-flight fill: its merge key, completion cycle, and the
-     *  absolute phase boundaries of the fill's latency (from its
-     *  AccessBreakdown at allocation) — a merged requester copies
-     *  them, since it waits on the same fill through the same phases. */
-    struct Entry
-    {
-        uint64_t addr = 0;
-        uint64_t done_cycle = 0;
-        uint64_t l1_until = 0;    ///< end of the L1 phase
-        uint64_t ring_until = 0;  ///< end of the interconnect phase
-        uint64_t queue_until = 0; ///< end of the bank-queue phase
-    };
-
-    /** The in-flight entry matching `addr`, or nullptr: its completion
-     *  cycle and phase boundaries are what a merged requester copies
-     *  into its own request record. The pointer is invalidated by the
-     *  next allocate/retire. */
-    const Entry *
+    /** The timing of the in-flight fill of `addr`, or nullptr: what a
+     *  merged requester copies into its own request record. The
+     *  pointer is invalidated by the next allocate/retire. */
+    const FillTiming *
     lookup(uint64_t addr) const
     {
         for (const Entry &e : inflight_)
             if (e.addr == addr)
-                return &e;
+                return &e.fill;
         return nullptr;
     }
 
@@ -198,18 +197,12 @@ class MshrFile
     /** Entries currently in flight (the MSHR residency counter). */
     size_t inflightCount() const { return inflight_.size(); }
 
-    /** Track a new fill of `addr` completing at `done_cycle`, with the
-     *  absolute phase boundaries of its latency (defaulted to
-     *  done_cycle: an all-L1 fill). The caller checks full() and
-     *  lookup() first. */
+    /** Track a new fill of `addr` with timing `fill`. The caller
+     *  checks full() and lookup() first. */
     void
-    allocate(uint64_t addr, uint64_t done_cycle, uint64_t l1_until = 0,
-             uint64_t ring_until = 0, uint64_t queue_until = 0)
+    allocate(uint64_t addr, const FillTiming &fill)
     {
-        inflight_.push_back({addr, done_cycle,
-                             l1_until ? l1_until : done_cycle,
-                             ring_until ? ring_until : done_cycle,
-                             queue_until ? queue_until : done_cycle});
+        inflight_.push_back({addr, fill});
     }
 
     /** Release every entry whose fill has completed by `now` (same
@@ -219,11 +212,18 @@ class MshrFile
     retire(uint64_t now)
     {
         std::erase_if(inflight_, [now](const Entry &e) {
-            return e.done_cycle <= now;
+            return e.fill.done_cycle <= now;
         });
     }
 
   private:
+    /** One in-flight fill and its merge key. */
+    struct Entry
+    {
+        uint64_t addr = 0;
+        FillTiming fill;
+    };
+
     unsigned entries_;
     std::vector<Entry> inflight_;
 };
@@ -376,11 +376,6 @@ class SharedL2
 
     /** Per-bank counters accumulated since construction. */
     const std::vector<L2Stats> &bankStats() const { return stats_; }
-
-    /** Sum of the per-bank counters. */
-    L2Stats totals() const;
-
-    const L2Config &config() const { return cfg_; }
 
   private:
     /** One outstanding DRAM fill. */
@@ -559,8 +554,6 @@ class NodeCache final : public MemoryModel
         unit_ = unit;
     }
     CacheStats stats() const override { return stats_; }
-
-    const NodeCacheConfig &config() const { return cfg_; }
 
   private:
     /** Touch one line; fills on miss. @return true on hit. */

@@ -33,7 +33,7 @@ using namespace rayflex::core;
 using fp::fromBits;
 
 PacketTraversal::PacketTraversal(const Bvh4 &bvh, unsigned width,
-                                 Mode mode, PacketStats *stats)
+                                 TraversalMode mode, PacketStats *stats)
     : bvh_(bvh), width_(width), mode_(mode), stats_(stats)
 {
     assert(width_ >= 1 && width_ <= kMaxPacketWidth);
@@ -226,7 +226,7 @@ PacketTraversal::handleResult(const core::DatapathOutput &out,
     } else if (!ln.retired && // drop results for lanes dead mid-leaf
                acceptTriangle(out, bvh_.tris[b.tri].id, ln.t_beg,
                               ln.t_max, ln.best) &&
-               mode_ == Mode::Any) {
+               mode_ == TraversalMode::Any) {
         // First in-extent hit retires the lane; the record carries
         // only the flag (the any-hit contract).
         retireLane(b.lane, HitRecord{true});

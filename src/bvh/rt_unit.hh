@@ -30,6 +30,7 @@
 #ifndef RAYFLEX_BVH_RT_UNIT_HH
 #define RAYFLEX_BVH_RT_UNIT_HH
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <memory>
@@ -47,16 +48,6 @@
 namespace rayflex::bvh
 {
 
-/** What the unit resolves per ray. */
-enum class TraversalMode : uint8_t {
-    /** Resolve the closest hit inside the ray extent. */
-    Closest,
-    /** Retire the ray on the first hit inside the ray extent
-     *  (shadow/occlusion queries). The result record carries only the
-     *  `hit` flag; t, triangle id and barycentrics stay zero. */
-    Any,
-};
-
 /** Widest datapath the unit can drive (issue lanes per cycle). */
 inline constexpr unsigned kMaxIssueWidth = 8;
 
@@ -66,7 +57,6 @@ struct RtUnitConfig
     unsigned ray_buffer_entries = 32; ///< rays concurrently in flight
     /** Node fetch latency, cycles (MemBackend::FixedLatency). */
     unsigned mem_latency = 20;
-    TraversalMode mode = TraversalMode::Closest;
 
     /** Datapath issue lanes, 1..kMaxIssueWidth. The unit drives up to
      *  this many beats per cycle into the datapath by replicating the
@@ -103,6 +93,16 @@ struct RtUnitConfig
      *          without packets: no slot could ever admit work, so the
      *          unit could only livelock. */
     RtUnitConfig normalized() const;
+
+    /** Packet slots of the ray buffer (packet mode, on a normalized()
+     *  config): a slot stands in for packet.width scalar entries, so
+     *  the buffer holds the same number of rays either way, and there
+     *  is always at least one. */
+    unsigned
+    packetSlots() const
+    {
+        return std::max(1u, ray_buffer_entries / packet.width);
+    }
 };
 
 /** Per-run statistics. */
@@ -229,13 +229,15 @@ class RtUnit
   public:
     /** The unit runs cfg.normalized() (which may throw) over a
      *  private, cold MemoryModel, on lanes of the datapath `dp`
-     *  describes. A unit serves one run: sim::BatchExecutor builds
-     *  fresh units for every batch and steps them.
+     *  describes, resolving every ray in `mode`. A unit serves one
+     *  run: sim::BatchExecutor builds fresh units for every batch and
+     *  steps them.
      *  @throws std::invalid_argument from advance() when a lane is
      *          offered an opcode `dp` does not implement (the same
      *          error the ticked pipeline's stage 1 raises). */
     RtUnit(const Bvh4 &bvh, const core::DatapathConfig &dp,
-           const RtUnitConfig &cfg = {});
+           const RtUnitConfig &cfg = {},
+           TraversalMode mode = TraversalMode::Closest);
 
     /**
      * k-NN mode: the unit walks `index` for submitKnn() queries
@@ -366,16 +368,11 @@ class RtUnit
     struct MemRequest
     {
         size_t entry;
-        uint64_t done_cycle;
-        uint64_t addr = 0; ///< fetch target (trace / attribution key)
-        /** Absolute phase boundaries of the fetch's latency, from its
-         *  AccessBreakdown at issue (merged requesters copy the
-         *  in-flight entry's): issue <= l1_until <= ring_until <=
-         *  queue_until <= done_cycle. classifyIdle() attributes a
-         *  stalled cycle to the phase `now` falls in. */
-        uint64_t l1_until = 0;
-        uint64_t ring_until = 0;
-        uint64_t queue_until = 0;
+        uint64_t addr; ///< fetch target (trace / attribution key)
+        /** The fetch's timing (a merged requester's is the in-flight
+         *  fill's); classifyIdle() attributes a stalled cycle to the
+         *  phase `now` falls in. */
+        FillTiming fill;
     };
 
     /** Synthetic address and size of a fetch target (the MSHR merge
@@ -396,6 +393,15 @@ class RtUnit
      *  cycle's one L1 fetch is already out, leaving the slot in
      *  NeedFetch. */
     bool issueFetch(size_t slot, const FetchItem &f, bool &issued);
+
+    /** Record `event` on this unit's trace track at the current cycle.
+     *  Call sites test trace_ first, so an untraced run never builds a
+     *  record. */
+    void
+    traceEvent(obs::TraceEvent event, uint64_t a, uint64_t b = 0) const
+    {
+        trace_->record({now_, trace_unit_, event, a, b});
+    }
 
     // ----- per-mode hooks of the publish/advance skeleton -----
     // A "slot" is a scalar Entry, a PacketTraversal or a KnnEntry; the
@@ -509,6 +515,7 @@ class RtUnit
     const Bvh4 &bvh_;
     core::DatapathConfig dp_; ///< what every lane implements
     RtUnitConfig cfg_;
+    TraversalMode mode_; ///< what every ray resolves
     std::unique_ptr<MemoryModel> mem_; ///< the unit's shared L1
     MshrFile mshrs_;        ///< outstanding-request file (may be off)
     uint64_t tri_base_ = 0; ///< triangle region base address

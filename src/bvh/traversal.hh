@@ -19,6 +19,16 @@
 namespace rayflex::bvh
 {
 
+/** What a traversal resolves per ray. */
+enum class TraversalMode : uint8_t {
+    /** Resolve the closest hit inside the ray extent. */
+    Closest,
+    /** Retire the ray on the first hit inside the ray extent
+     *  (shadow/occlusion queries). The result record carries only the
+     *  `hit` flag; t, triangle id and barycentrics stay zero. */
+    Any,
+};
+
 /** Result of tracing one ray. */
 struct HitRecord
 {

@@ -185,12 +185,6 @@ geF32(F32 a, F32 b)
     Cmp c = compareF32(a, b);
     return c == Cmp::GT || c == Cmp::EQ;
 }
-/** True when either operand is NaN. */
-inline bool unorderedF32(F32 a, F32 b)
-{
-    return compareF32(a, b) == Cmp::UN;
-}
-
 /**
  * Two-input max as a comparator + mux, with explicit NaN propagation: the
  * Hardfloat comparator exposes an "unordered" signal, so the select logic

@@ -52,11 +52,8 @@ class SkidBufferBase : public Component
   public:
     using Component::Component;
 
-    /** Statistics accumulated since construction or the last reset. */
+    /** Statistics accumulated since construction. */
     const SkidBufferStats &stats() const { return stats_; }
-
-    /** Clear accumulated statistics. */
-    void resetStats() { stats_ = {}; }
 
     /** Number of beats currently buffered (0, 1 or 2). */
     virtual unsigned occupancy() const = 0;

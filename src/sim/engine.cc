@@ -116,19 +116,6 @@ Engine::Engine(const EngineConfig &cfg) : cfg_(cfg)
 
 Engine::~Engine() = default;
 
-ExecutorConfig
-Engine::executorConfig() const
-{
-    ExecutorConfig ec;
-    ec.model = cfg_.model;
-    ec.rt = cfg_.rt;
-    ec.dp = cfg_.dp;
-    ec.chip = cfg_.chip;
-    ec.max_cycles_per_batch = cfg_.max_cycles_per_batch;
-    ec.trace = cfg_.trace;
-    return ec;
-}
-
 unsigned
 Engine::forEachBatch(size_t n,
                      const std::function<void(size_t)> &fn) const
@@ -171,17 +158,10 @@ Engine::forEachBatch(size_t n,
 }
 
 EngineReport
-Engine::run(const bvh::Bvh4 &bvh,
-            const std::vector<core::Ray> &rays) const
-{
-    return run(bvh, rays, cfg_.any_hit);
-}
-
-EngineReport
 Engine::run(const bvh::Bvh4 &bvh, const std::vector<core::Ray> &rays,
             bool any_hit) const
 {
-    const BatchExecutor exec(bvh, executorConfig());
+    const BatchExecutor exec(bvh, cfg_);
     const std::vector<core::BatchRange> ranges =
         core::sliceBatches(rays.size(), cfg_.batch_size);
     EngineReport report;
@@ -208,8 +188,7 @@ Engine::run(const bvh::Bvh4 &bvh, const std::vector<core::Ray> &rays,
     // sequential simulated timeline (batch k starts where batch k-1
     // ended): both depend only on the batch decomposition, never on
     // which worker ran which batch.
-    const bool tracing =
-        cfg_.trace && cfg_.model == ExecutionModel::CycleAccurate;
+    const bool tracing = cfg_.traced();
     uint64_t start = 0;
     for (size_t bi = 0; bi < results.size(); ++bi) {
         const BatchResult &br = results[bi];
@@ -235,7 +214,7 @@ Engine::runKnn(const bvh::KnnIndex &index,
     // KnnReport carries no trace (see EngineConfig::trace): drop the
     // flag here rather than collect per-batch events only to discard
     // them.
-    ExecutorConfig ec = executorConfig();
+    ExecutorConfig ec = cfg_;
     ec.trace = false;
     const BatchExecutor exec(index, ec);
     const std::vector<core::BatchRange> ranges =
@@ -257,16 +236,8 @@ Engine::runKnn(const bvh::KnnIndex &index,
                                  std::chrono::steady_clock::now() - t0)
                                  .count();
 
-    bvh::KnnStats knn;
-    for (const BatchResult &br : results) {
+    for (const BatchResult &br : results)
         report.unit.merge(br.unit);
-        knn.merge(br.knn);
-    }
-    // One traversal-counter field whatever the model: the cycle
-    // model's counters live inside the unit stats.
-    report.knn = cfg_.model == ExecutionModel::CycleAccurate
-                     ? report.unit.knn
-                     : knn;
     return report;
 }
 

@@ -14,6 +14,9 @@
  * fresh bvh::RtUnits — or, in the functional model, a bvh::Traverser —
  * per batch against the shared immutable Scene/BVH), and merges the
  * per-batch statistics in batch order into an aggregate report.
+ * sim::EngineConfig is the executor's configuration plus the two
+ * sharding knobs (threads, batch_size); the traversal mode is not a
+ * setting but an argument of each run().
  *
  * Determinism contract: per-ray hit records and the merged statistics
  * are bit-identical for every thread count. Three properties make this
@@ -51,8 +54,13 @@
 namespace rayflex::sim
 {
 
-/** Engine configuration. */
-struct EngineConfig
+/** Engine configuration: the executor configuration every batch runs
+ *  under, plus how the engine shards a workload into batches. With
+ *  `trace` on, EngineReport::trace holds the per-batch events on the
+ *  engine's sequential simulated timeline (batch k starts where batch
+ *  k-1 ended), bit-identical at every worker count; runKnn() reports no
+ *  trace. */
+struct EngineConfig : ExecutorConfig
 {
     /** Worker threads; 0 picks std::thread::hardware_concurrency(). */
     unsigned threads = 0;
@@ -61,60 +69,6 @@ struct EngineConfig
      *  unit of work distribution, so changing `threads` never changes
      *  any result. 0 means one batch for the whole workload. */
     size_t batch_size = 1024;
-
-    ExecutionModel model = ExecutionModel::CycleAccurate;
-
-    /** Any-hit (shadow/occlusion) queries: stop at the first
-     *  intersection inside the ray extent [t_beg, t_end] instead of
-     *  resolving the closest one. Supported by both execution models:
-     *  the Functional model uses Traverser::anyHit, the CycleAccurate
-     *  model runs its RT units in bvh::TraversalMode::Any so occlusion
-     *  batches can be timed. See EngineReport::hits for the reduced
-     *  hit-record contract. */
-    bool any_hit = false;
-
-    /** Per-worker RT-unit parameters (CycleAccurate model), including
-     *  the memory backend: rt.mem_backend selects the flat-latency
-     *  fetch or the set-associative node cache (rt.cache), and every
-     *  worker's unit owns a private model instance, so the cached
-     *  backend keeps the determinism contract (each batch warms a cold
-     *  cache of its own). rt.issue_width widens the datapath (beats
-     *  per cycle), rt.mshrs bounds the MSHR file over the unit's
-     *  shared L1, and rt.packet configures the wavefront scheduler
-     *  (width, compaction threshold); all three default to the
-     *  single-issue, unbounded, compaction-off schedule bit-for-bit
-     *  and never change hit records. The traversal mode is overridden
-     *  from `any_hit`. */
-    bvh::RtUnitConfig rt;
-
-    /** Multi-unit chip mode (CycleAccurate model). Inactive by default
-     *  (units == 1, L2 off): each batch then runs on one unit. When
-     *  active, each batch is simulated by a chip of `chip.units`
-     *  lock-stepped RT units over the configured L2 tier; hit records
-     *  stay bit-identical to the scalar engine in every chip
-     *  configuration (memory timing never changes intersection
-     *  results). Ignored by the Functional model, which has no memory
-     *  system to share. */
-    ChipConfig chip;
-
-    /** Per-worker datapath configuration (CycleAccurate model). */
-    core::DatapathConfig dp = core::kBaselineUnified;
-
-    /** Simulation-cycle budget per batch before the run is declared
-     *  hung (CycleAccurate model). */
-    uint64_t max_cycles_per_batch = 100000000ull;
-
-    /** Collect a deterministic event trace (obs/trace.hh) into
-     *  EngineReport::trace: per-batch unit/L2 events rebased onto the
-     *  engine's sequential simulated timeline (batch k starts where
-     *  batch k-1 ended) and bracketed by BatchStart/BatchEnd. Off (the
-     *  default) costs nothing; on, every counter and hit record stays
-     *  bit-identical, and the trace itself is bit-identical at every
-     *  worker count (batch decomposition and per-batch evolution are
-     *  worker-independent; concatenation is in batch order).
-     *  CycleAccurate ray runs only — the Functional model has no clock
-     *  and runKnn() reports no trace. */
-    bool trace = false;
 };
 
 /** Aggregate result of an engine run. */
@@ -122,8 +76,8 @@ struct EngineReport
 {
     /** Hit records in ray order (parallel to the input).
      *
-     *  Closest-hit runs fill every field. Any-hit runs
-     *  (EngineConfig::any_hit) fill ONLY the `hit` flag: t,
+     *  Closest-hit runs fill every field. Any-hit runs (run()'s
+     *  `any_hit`) fill ONLY the `hit` flag: t,
      *  triangle_id and u/v/w stay value-initialized at zero, in both
      *  execution models. The records therefore stay operator==- and
      *  bit-comparable across models, but consumers of an any-hit run
@@ -175,15 +129,10 @@ struct KnnReport
      *  counts, execution models and every memory/issue knob. */
     std::vector<bvh::KnnResult> results;
 
-    /** Merged RT-unit counters (CycleAccurate model); `unit.knn`
-     *  carries the cycle model's traversal counters. */
+    /** Merged RT-unit counters (CycleAccurate model). `unit.knn`
+     *  carries the merged k-NN traversal counters under EITHER model;
+     *  under Functional it is the only nonzero field. */
     bvh::RtUnitStats unit;
-
-    /** Merged k-NN traversal counters under EITHER model: the
-     *  Functional traverser's own counters, or a copy of unit.knn
-     *  under CycleAccurate — so consumers can read one field
-     *  regardless of model. */
-    bvh::KnnStats knn;
 
     size_t batches = 0;
     unsigned threads_used = 0;
@@ -213,18 +162,19 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     /** Trace every ray against the BVH and merge the statistics.
+     *  `any_hit` runs shadow/occlusion queries: each ray stops at the
+     *  first intersection inside its extent [t_beg, t_end] instead of
+     *  resolving the closest one (Traverser::anyHit under Functional,
+     *  RT units in bvh::TraversalMode::Any under CycleAccurate, so
+     *  occlusion batches can be timed). The mode is per run, so one
+     *  engine - and its persistent worker pool - serves both the
+     *  closest-hit and the occlusion passes of a multi-pass scenario
+     *  (see sim/passes.hh).
      *  @throws std::runtime_error when a batch exceeds
      *          max_cycles_per_batch (CycleAccurate model). */
     EngineReport run(const bvh::Bvh4 &bvh,
-                     const std::vector<core::Ray> &rays) const;
-
-    /** As run(), but overriding EngineConfig::any_hit for this run
-     *  only, so one engine - and its persistent worker pool - serves
-     *  both the closest-hit and the occlusion passes of a multi-pass
-     *  scenario (see sim/passes.hh). */
-    EngineReport run(const bvh::Bvh4 &bvh,
                      const std::vector<core::Ray> &rays,
-                     bool any_hit) const;
+                     bool any_hit = false) const;
 
     /**
      * Answer every k-NN query against the index and merge the
@@ -233,8 +183,7 @@ class Engine
      * independent of the worker count, a fresh unit (or chip) per
      * batch, commutative-associative stats merge, so results AND
      * merged counters are bit-identical at every thread count.
-     * `any_hit` does not apply; chip mode round-robins queries over
-     * the units.
+     * Chip mode round-robins queries over the units.
      * @throws std::invalid_argument under the CycleAccurate model when
      *         EngineConfig::dp is not an extended config (the distance
      *         opcodes are missing otherwise).
@@ -244,9 +193,9 @@ class Engine
 
     const EngineConfig &config() const { return cfg_; }
 
-    /** The executor-tier view of this engine's configuration (what a
+    /** The executor-tier part of this engine's configuration (what a
      *  sim::BatchExecutor over the same knobs runs). */
-    ExecutorConfig executorConfig() const;
+    const ExecutorConfig &executorConfig() const { return cfg_; }
 
   private:
     friend class StreamingService; ///< shares the pool (sim/stream.hh)
@@ -254,7 +203,7 @@ class Engine
     class Pool;
 
     /** The one batch loop behind run(), runKnn() and
-     *  StreamingService::finish: call fn(0) .. fn(n-1), each batch
+     *  StreamingService::run: call fn(0) .. fn(n-1), each batch
      *  index once, with workers claiming indices off one atomic
      *  counter. Runs inline on the calling thread when one worker
      *  suffices, else on the persistent pool (serialized with other

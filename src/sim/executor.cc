@@ -41,15 +41,13 @@ namespace
 
 /** The one cycle-accurate runner and the only code that steps an
  *  RtUnit, for ray and k-NN batches at every unit count: build
- *  cfg.chip.clampedUnits() fresh units over `source` (a Bvh4 or a
- *  KnnIndex) with cfg.dp lanes, attach the L2 tier and the trace sink,
- *  hand item k to unit k % units as local id k / units (`submit`),
- *  step the units until no item is outstanding, then merge the stats
- *  and scatter the results (`gather`). */
-template <class Source, class Submit, class Gather>
+ *  cfg.chip.clampedUnits() fresh units (`make`), attach the L2 tier
+ *  and the trace sink, hand item k to unit k % units as local id
+ *  k / units (`submit`), step the units until no item is outstanding,
+ *  then merge the stats and scatter the results (`gather`). */
+template <class Make, class Submit, class Gather>
 BatchResult
-runChip(const ExecutorConfig &cfg, const Source &source,
-        const bvh::RtUnitConfig &rt, size_t n, Submit submit,
+runChip(const ExecutorConfig &cfg, size_t n, Make make, Submit submit,
         Gather gather)
 {
     const unsigned units = cfg.chip.clampedUnits();
@@ -57,7 +55,7 @@ runChip(const ExecutorConfig &cfg, const Source &source,
     std::vector<std::unique_ptr<bvh::RtUnit>> us;
     us.reserve(units);
     for (unsigned u = 0; u < units; ++u)
-        us.push_back(std::make_unique<bvh::RtUnit>(source, cfg.dp, rt));
+        us.push_back(make());
 
     std::unique_ptr<bvh::SharedL2> shared;
     std::vector<std::unique_ptr<bvh::SharedL2>> priv;
@@ -163,7 +161,11 @@ BatchExecutor::executeKnnBatch(const KnnBatchRef *refs, size_t n) const
 
     if (cfg_.model == ExecutionModel::CycleAccurate)
         return runChip(
-            cfg_, *knn_index_, cfg_.rt, n,
+            cfg_, n,
+            [&] {
+                return std::make_unique<bvh::RtUnit>(*knn_index_, cfg_.dp,
+                                                     cfg_.rt);
+            },
             [&](bvh::RtUnit &u, size_t k, uint32_t id) {
                 u.submitKnn(*refs[k].query, id);
             },
@@ -175,10 +177,10 @@ BatchExecutor::executeKnnBatch(const KnnBatchRef *refs, size_t n) const
     bvh::KnnTraversal trav(*knn_index_);
     for (size_t k = 0; k < n; ++k)
         *refs[k].out = trav.search(*refs[k].query);
-    res.knn = trav.stats();
+    res.unit.knn = trav.stats();
     // No clock in the Functional model; charge the idealized
     // one-distance-beat-per-cycle datapath occupancy.
-    res.sim_cycles = res.knn.distance_beats;
+    res.sim_cycles = res.unit.knn.distance_beats;
     return res;
 }
 
@@ -187,11 +189,15 @@ BatchExecutor::executeBatch(const BatchRayRef *refs, size_t n,
                             bool any_hit) const
 {
     if (cfg_.model == ExecutionModel::CycleAccurate) {
-        bvh::RtUnitConfig rt = cfg_.rt;
-        rt.mode = any_hit ? bvh::TraversalMode::Any
-                          : bvh::TraversalMode::Closest;
+        const bvh::TraversalMode mode = any_hit
+                                            ? bvh::TraversalMode::Any
+                                            : bvh::TraversalMode::Closest;
         return runChip(
-            cfg_, bvh_, rt, n,
+            cfg_, n,
+            [&] {
+                return std::make_unique<bvh::RtUnit>(bvh_, cfg_.dp, cfg_.rt,
+                                                     mode);
+            },
             [&](bvh::RtUnit &u, size_t k, uint32_t id) {
                 u.submit(*refs[k].ray, id, refs[k].job);
             },

@@ -17,7 +17,10 @@
  * regroup rays (sharded Engine batches, cross-job packed streaming
  * batches) without touching simulation semantics: hit records depend
  * only on (ray, BVH, traversal mode), and each batch's evolution
- * depends only on its own contents.
+ * depends only on its own contents. The traversal mode is an argument
+ * of each ray batch, handed to the units the batch builds;
+ * sim::ExecutorConfig holds every other setting, once, and
+ * sim::EngineConfig extends it.
  */
 #ifndef RAYFLEX_SIM_EXECUTOR_HH
 #define RAYFLEX_SIM_EXECUTOR_HH
@@ -128,14 +131,12 @@ struct KnnBatchRef
 /** What one executed batch reports back. */
 struct BatchResult
 {
-    /** Unit counters (CycleAccurate; zero under Functional). For k-NN
-     *  batches the traversal counters ride in `unit.knn`. */
+    /** Unit counters (CycleAccurate; zero under Functional, except
+     *  that k-NN batches carry their traversal counters in `unit.knn`
+     *  under either model). */
     bvh::RtUnitStats unit;
-    /** Traversal counters (Functional; zero under CycleAccurate). */
+    /** Ray traversal counters (Functional; zero under CycleAccurate). */
     bvh::TraversalStats traversal;
-    /** k-NN traversal counters (Functional k-NN batches; zero
-     *  elsewhere — CycleAccurate k-NN counters live in unit.knn). */
-    bvh::KnnStats knn;
     /** Simulated cycles this batch occupied the executor: lock-step
      *  chip ticks under CycleAccurate (a single unit's cycles), and the
      *  idealized one-op-per-cycle datapath ops (box + triangle) under
@@ -162,20 +163,27 @@ void appendBatchTrace(std::vector<obs::TraceRecord> &out, size_t bi,
                       const BatchResult &br);
 
 /** Executor configuration: everything the simulation of one batch
- *  depends on. Mirrors the simulation-relevant subset of
- *  sim::EngineConfig (which embeds one). */
+ *  depends on except the traversal mode, which executeBatch() takes
+ *  per batch. sim::EngineConfig extends it with the engine's sharding
+ *  knobs. */
 struct ExecutorConfig
 {
     ExecutionModel model = ExecutionModel::CycleAccurate;
 
-    /** Per-batch RT-unit parameters (CycleAccurate); `rt.mode` is
-     *  overridden per batch from executeBatch()'s any_hit. */
+    /** Per-batch RT-unit parameters (CycleAccurate): the memory
+     *  backend (rt.mem_backend, rt.cache), rt.issue_width datapath
+     *  lanes, the rt.mshrs MSHR file and the rt.packet wavefront
+     *  scheduler. Each batch's units own cold private memory models,
+     *  and every knob at its default keeps the single-issue,
+     *  unbounded, scalar schedule bit-for-bit; none changes a hit
+     *  record. */
     bvh::RtUnitConfig rt;
 
     /** Per-batch datapath configuration (CycleAccurate). */
     core::DatapathConfig dp = core::kBaselineUnified;
 
-    /** Multi-unit chip mode; inactive by default. */
+    /** Multi-unit chip mode (CycleAccurate); inactive by default.
+     *  Hit records stay bit-identical in every chip configuration. */
     ChipConfig chip;
 
     /** Simulation-cycle budget per batch before the run is declared
@@ -188,6 +196,14 @@ struct ExecutorConfig
      *  Private-L2 chip's banks are not collected (their per-unit bank
      *  ids would alias on one track); the Shared L2 is. */
     bool trace = false;
+
+    /** True when batches collect traces: `trace` on under the
+     *  CycleAccurate model (the Functional model has no clock). */
+    bool
+    traced() const
+    {
+        return trace && model == ExecutionModel::CycleAccurate;
+    }
 };
 
 /**
@@ -232,8 +248,6 @@ class BatchExecutor
      */
     BatchResult executeKnnBatch(const KnnBatchRef *refs,
                                 size_t n) const;
-
-    const ExecutorConfig &config() const { return cfg_; }
 
   private:
     const bvh::Bvh4 &bvh_;

@@ -3,7 +3,7 @@
  * Streaming service implementation: plan, execute, simulated
  * timeline.
  *
- * finish() is three deterministic phases. PLAN: the sorted job list
+ * run() is three deterministic phases. PLAN: the sorted job list
  * goes through BatchScheduler::plan, a pure function. EXECUTE: the
  * engine's batch loop (Engine::forEachBatch) gathers every planned
  * batch into executor refs and runs it on a freshly constructed unit
@@ -118,73 +118,56 @@ BatchScheduler::plan(const std::vector<RenderJob> &jobs) const
     return plans;
 }
 
-void
-StreamingService::submit(RenderJob job)
-{
-    std::lock_guard<std::mutex> lk(m_);
-    if (finished_)
-        throw std::logic_error(
-            "StreamingService: submit after finish");
-    jobs_.push_back(std::move(job));
-}
-
 StreamReport
-StreamingService::finish(const bvh::Bvh4 &bvh)
+StreamingService::run(const Engine &engine, const bvh::Bvh4 &bvh,
+                      std::vector<RenderJob> jobs,
+                      const StreamConfig &cfg)
 {
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        if (finished_)
-            throw std::logic_error(
-                "StreamingService: finish called twice");
-        finished_ = true;
-    }
-
     {
         std::unordered_set<uint64_t> ids;
-        for (const RenderJob &j : jobs_)
+        for (const RenderJob &j : jobs)
             if (!ids.insert(j.id).second)
                 throw std::invalid_argument(
                     "StreamingService: duplicate job id");
     }
 
     // The canonical job order — and the only order anything below
-    // depends on — is the schedule itself, not submission timing.
-    std::stable_sort(jobs_.begin(), jobs_.end(),
+    // depends on — is the schedule itself, not the order of `jobs`.
+    std::stable_sort(jobs.begin(), jobs.end(),
                      [](const RenderJob &a, const RenderJob &b) {
                          return a.arrival_tick != b.arrival_tick
                                     ? a.arrival_tick < b.arrival_tick
                                     : a.id < b.id;
                      });
 
-    const std::vector<PlannedBatch> plans =
-        BatchScheduler(cfg_).plan(jobs_);
+    const std::vector<PlannedBatch> plans = BatchScheduler(cfg).plan(jobs);
 
     StreamReport rep;
     rep.batches = plans.size();
-    rep.jobs.resize(jobs_.size());
-    for (size_t j = 0; j < jobs_.size(); ++j) {
+    rep.jobs.resize(jobs.size());
+    for (size_t j = 0; j < jobs.size(); ++j) {
         JobReport &jr = rep.jobs[j];
-        jr.id = jobs_[j].id;
-        jr.arrival_tick = jobs_[j].arrival_tick;
-        jr.any_hit = jobs_[j].any_hit;
-        jr.first_service_tick = jobs_[j].arrival_tick;
-        jr.completion_tick = jobs_[j].arrival_tick;
-        jr.hits.resize(jobs_[j].rays.size());
-        rep.total_rays += jobs_[j].rays.size();
+        jr.id = jobs[j].id;
+        jr.arrival_tick = jobs[j].arrival_tick;
+        jr.any_hit = jobs[j].any_hit;
+        jr.first_service_tick = jobs[j].arrival_tick;
+        jr.completion_tick = jobs[j].arrival_tick;
+        jr.hits.resize(jobs[j].rays.size());
+        rep.total_rays += jobs[j].rays.size();
     }
 
     // Each planned batch gathers its (job, ray) pairs into refs and
     // writes its result into its plan-order slot, so worker timing
     // cannot reach any reported number.
-    const BatchExecutor exec(bvh, engine_.executorConfig());
+    const BatchExecutor exec(bvh, engine.executorConfig());
     std::vector<BatchResult> results(plans.size());
     const auto t0 = std::chrono::steady_clock::now();
-    rep.threads_used = engine_.forEachBatch(plans.size(), [&](size_t bi) {
+    rep.threads_used = engine.forEachBatch(plans.size(), [&](size_t bi) {
         const PlannedBatch &b = plans[bi];
         std::vector<BatchRayRef> refs(b.rays.size());
         for (size_t k = 0; k < b.rays.size(); ++k) {
             const auto [j, ri] = b.rays[k];
-            refs[k] = {&jobs_[j].rays[ri], &rep.jobs[j].hits[ri], j};
+            refs[k] = {&jobs[j].rays[ri], &rep.jobs[j].hits[ri], j};
         }
         results[bi] =
             exec.executeBatch(refs.data(), refs.size(), b.any_hit);
@@ -193,15 +176,13 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
                               std::chrono::steady_clock::now() - t0)
                               .count();
 
-    const bool tracing =
-        engine_.config().trace &&
-        engine_.config().model == ExecutionModel::CycleAccurate;
+    const bool tracing = engine.config().traced();
     if (tracing)
-        for (size_t j = 0; j < jobs_.size(); ++j)
-            rep.trace.push_back({jobs_[j].arrival_tick, 0,
+        for (size_t j = 0; j < jobs.size(); ++j)
+            rep.trace.push_back({jobs[j].arrival_tick, 0,
                                  obs::TraceEvent::JobSubmit,
-                                 jobs_[j].id,
-                                 uint64_t(jobs_[j].rays.size())});
+                                 jobs[j].id,
+                                 uint64_t(jobs[j].rays.size())});
 
     // The simulated timeline: sequential-machine semantics. Batch bi
     // starts when the previous batch drained and its own contributors
@@ -209,10 +190,10 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
     // batch's executor trace (batch-local clock) is rebased to its
     // timeline start, so the stream trace shares the tick axis with
     // every latency it reports.
-    std::vector<obs::Histogram> raylat(jobs_.size());
-    std::vector<uint64_t> count(jobs_.size(), 0);
+    std::vector<obs::Histogram> raylat(jobs.size());
+    std::vector<uint64_t> count(jobs.size(), 0);
     std::vector<uint32_t> touched;
-    std::vector<bool> first_seen(jobs_.size(), false);
+    std::vector<bool> first_seen(jobs.size(), false);
     uint64_t prev_end = 0;
     for (size_t bi = 0; bi < plans.size(); ++bi) {
         const PlannedBatch &b = plans[bi];
@@ -254,7 +235,7 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
     obs::Histogram job_lat;
     double x_sum = 0, x2_sum = 0;
     size_t x_n = 0;
-    for (size_t j = 0; j < jobs_.size(); ++j) {
+    for (size_t j = 0; j < jobs.size(); ++j) {
         JobReport &jr = rep.jobs[j];
         jr.latency = jr.completion_tick - jr.arrival_tick;
         jr.queue_wait = jr.first_service_tick - jr.arrival_tick;
@@ -281,17 +262,6 @@ StreamingService::finish(const bvh::Bvh4 &bvh)
                        ? (x_sum * x_sum) / (double(x_n) * x2_sum)
                        : 0.0;
     return rep;
-}
-
-StreamReport
-StreamingService::run(const Engine &engine, const bvh::Bvh4 &bvh,
-                      std::vector<RenderJob> jobs,
-                      const StreamConfig &cfg)
-{
-    StreamingService svc(engine, cfg);
-    for (RenderJob &j : jobs)
-        svc.submit(std::move(j));
-    return svc.finish(bvh);
 }
 
 } // namespace rayflex::sim

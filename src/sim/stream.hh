@@ -3,38 +3,39 @@
  * Job and scheduler tiers of the streaming render service.
  *
  * The batch-synchronous sim::Engine answers "how long does THIS
- * workload take"; a service shared by concurrent clients asks
- * per-job questions: how long did each client wait, in simulated
- * cycles, and how fairly was the machine shared. This module adds the two tiers above the
- * executor (sim/executor.hh) that make those questions answerable:
+ * workload take"; a service shared by many clients asks per-job
+ * questions: how long did each client wait, in simulated cycles, and
+ * how fairly was the machine shared. This module adds the two tiers
+ * above the executor (sim/executor.hh) that make those questions
+ * answerable:
  *
  *   * job tier — sim::RenderJob is one client request (rays + mode +
- *     arrival tick from a fixed, caller-supplied schedule), which any
- *     number of client threads submit() to the service;
+ *     arrival tick from a fixed, caller-supplied schedule); a run of
+ *     the service takes the whole schedule as one job vector;
  *   * scheduler tier — sim::BatchScheduler packs rays from different
  *     in-flight jobs into shared batches (cross-job packet formation:
  *     one job's coherent rays fill another's divergence-thinned
- *     packets), and sim::StreamingService runs the planned batches
- *     through the engine's batch loop while tracking per-job
- *     completion on a simulated-cycle timeline.
+ *     packets), and sim::StreamingService::run — the service's one
+ *     entry point — runs the planned batches through the engine's
+ *     batch loop while tracking per-job completion on a
+ *     simulated-cycle timeline.
  *
  * Determinism contract, extended from the engine: the batch plan is a
  * PURE function of the job schedule (ids, arrival ticks, modes, rays,
- * StreamConfig) — never of worker count, wall-clock or submission order —
- * and each planned batch is executed by a freshly constructed unit.
- * A fixed arrival schedule therefore yields bit-identical hits,
- * per-job simulated latencies and merged statistics at every worker
- * count, no matter how submissions interleaved in host time. The
- * simulated timeline is sequential-machine semantics: batches are
- * charged in plan order (start = max(previous end, batch ready
- * tick)), so worker parallelism accelerates the host, not the modeled
- * chip.
+ * StreamConfig) — never of worker count, wall-clock or the order of
+ * the job vector — and each planned batch is executed by a freshly
+ * constructed unit. A fixed arrival schedule therefore yields
+ * bit-identical hits, per-job simulated latencies and merged
+ * statistics at every worker count, in whatever order the jobs are
+ * listed. The simulated timeline is sequential-machine semantics:
+ * batches are charged in plan order (start = max(previous end, batch
+ * ready tick)), so worker parallelism accelerates the host, not the
+ * modeled chip.
  */
 #ifndef RAYFLEX_SIM_STREAM_HH
 #define RAYFLEX_SIM_STREAM_HH
 
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -51,7 +52,7 @@ namespace rayflex::sim
 struct RenderJob
 {
     /** Caller-chosen identity; must be unique within a service run
-     *  (StreamingService::finish throws on duplicates). */
+     *  (StreamingService::run throws on duplicates). */
     uint64_t id = 0;
 
     /** Simulated cycle at which the job enters the system. Rays of a
@@ -247,50 +248,21 @@ struct StreamReport
 };
 
 /**
- * The streaming front-end over an existing Engine: concurrent clients
- * submit() RenderJobs, and finish() closes intake, plans the batches,
- * and executes them through the engine's batch loop and worker pool,
- * returning the per-job and aggregate report. The engine's
- * threads/model/rt/dp/chip knobs apply; EngineConfig::batch_size and
- * any_hit are ignored, superseded by StreamConfig::batch_size and the
- * per-job modes.
- *
- * One service instance is one run: submit() after finish() throws.
+ * The streaming front-end over an existing Engine. run() takes a job
+ * schedule, plans its batches, executes them through the engine's
+ * batch loop and worker pool, and returns the per-job and aggregate
+ * report. The engine's threads/model/rt/dp/chip/trace knobs apply;
+ * EngineConfig::batch_size is ignored, superseded by
+ * StreamConfig::batch_size, and each job carries its own mode.
  */
 class StreamingService
 {
   public:
-    StreamingService(const Engine &engine, const StreamConfig &cfg = {})
-        : engine_(engine), cfg_(cfg)
-    {
-    }
-
-    StreamingService(const StreamingService &) = delete;
-    StreamingService &operator=(const StreamingService &) = delete;
-
-    /** Record a job. Safe to call from many submitter threads
-     *  concurrently.
-     *  @throws std::logic_error after finish(). */
-    void submit(RenderJob job);
-
-    /** Close intake, schedule every submitted job, execute, and
-     *  report.
+    /** Schedule every job, execute, and report.
      *  @throws std::invalid_argument on duplicate job ids. */
-    StreamReport finish(const bvh::Bvh4 &bvh);
-
-    /** Convenience one-shot: submit every job, then finish. */
     static StreamReport run(const Engine &engine, const bvh::Bvh4 &bvh,
                             std::vector<RenderJob> jobs,
                             const StreamConfig &cfg = {});
-
-    const StreamConfig &config() const { return cfg_; }
-
-  private:
-    const Engine &engine_;
-    StreamConfig cfg_;
-    std::mutex m_; ///< guards jobs_ and finished_ against submit()
-    std::vector<RenderJob> jobs_;
-    bool finished_ = false;
 };
 
 } // namespace rayflex::sim

@@ -72,9 +72,8 @@ packetStateBits(const bvh::RtUnitConfig &rt)
     const unsigned width = rt.packet.width;
     if (width <= 1)
         return 0;
-    const uint64_t slots =
-        std::max(1u, rt.ray_buffer_entries / width);
-    return slots * (kPacketStackDepth * stackItemBits(width) + width);
+    return uint64_t(rt.packetSlots()) *
+           (kPacketStackDepth * stackItemBits(width) + width);
 }
 
 uint64_t
@@ -85,7 +84,7 @@ l2Bits(const bvh::L2Config &c)
 }
 
 ChipAreaReport
-ChipCostModel::area(const sim::EngineConfig &cfg, double clock_ghz) const
+ChipCostModel::area(const sim::ExecutorConfig &cfg, double clock_ghz) const
 {
     ChipAreaReport r;
     const Netlist n = Netlist::build(cfg.dp);
@@ -144,7 +143,7 @@ ChipCostModel::area(const sim::EngineConfig &cfg, double clock_ghz) const
 }
 
 ChipPowerReport
-ChipCostModel::power(const sim::EngineConfig &cfg,
+ChipCostModel::power(const sim::ExecutorConfig &cfg,
                      const bvh::RtUnitStats &stats,
                      double clock_ghz) const
 {

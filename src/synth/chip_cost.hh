@@ -1,12 +1,13 @@
 /**
  * @file
- * Chip-level component cost model: any sim::EngineConfig -> area and
- * power, driven by the real simulator's merged run statistics.
+ * Chip-level component cost model: any sim::ExecutorConfig (and so any
+ * sim::EngineConfig) -> area and power, driven by the real simulator's
+ * merged run statistics.
  *
  * The paper's synthesis results (Figs. 7-9) cover only the
  * intersection datapath; PRs 3-9 grew the performance model far past
  * it. This module closes that loop: a chip's cost is the SUM OF
- * COMPONENTS, each sized from the EngineConfig knobs and energized
+ * COMPONENTS, each sized from the executor config's knobs and energized
  * from the counters the cycle model already produces.
  *
  * Components and their stimuli:
@@ -34,7 +35,7 @@
  *
  * Two invariants are regression-pinned (tests/test_synth.cc):
  *
- *  1. Knobs-off compatibility: with a default EngineConfig (issue
+ *  1. Knobs-off compatibility: with a default config (issue
  *     width 1, FixedLatency memory, no MSHRs, scalar traversal, chip
  *     mode off) the report contains exactly the datapath component and
  *     reproduces the legacy AreaModel/PowerModel numbers — today's
@@ -43,7 +44,7 @@
  *     AreaModel::estimate and the same datapathBeatEnergyPj kernel the
  *     legacy models use, scaled by a lane count of exactly 1.0.
  *
- *  2. Purity: a report is a pure function of (EngineConfig, merged
+ *  2. Purity: a report is a pure function of (config, merged
  *     RtUnitStats, clock). The stats merge is commutative and
  *     associative, so reports are identical at every worker count.
  *
@@ -60,7 +61,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.hh"
+#include "sim/executor.hh"
 #include "synth/area.hh"
 #include "synth/cells.hh"
 #include "synth/netlist.hh"
@@ -148,7 +149,7 @@ class ChipCostModel
 
     /** Area of the chip a config describes, at a clock target.
      *  @throws std::invalid_argument when cfg.rt.normalized() does. */
-    ChipAreaReport area(const sim::EngineConfig &cfg,
+    ChipAreaReport area(const sim::ExecutorConfig &cfg,
                         double clock_ghz) const;
 
     /**
@@ -161,7 +162,7 @@ class ChipCostModel
      * observed cycles every dynamic term is 0.0 and the report carries
      * leakage only (a powered-on idle chip).
      */
-    ChipPowerReport power(const sim::EngineConfig &cfg,
+    ChipPowerReport power(const sim::ExecutorConfig &cfg,
                           const bvh::RtUnitStats &stats,
                           double clock_ghz) const;
 

@@ -172,8 +172,8 @@ TEST(MultiIssue, PacketHitsMatchScalarAcrossTheGrid)
         sim::EngineConfig scalar;
         scalar.threads = 1;
         scalar.batch_size = 64;
-        scalar.any_hit = any_hit;
-        sim::EngineReport ref = sim::Engine(scalar).run(bvh, rays);
+        sim::EngineReport ref =
+            sim::Engine(scalar).run(bvh, rays, any_hit);
 
         struct Knobs
         {
@@ -190,7 +190,8 @@ TEST(MultiIssue, PacketHitsMatchScalarAcrossTheGrid)
             cfg.rt.mshrs = k.mshrs;
             cfg.rt.packet.compact_below = k.compact;
             cfg.rt.ray_buffer_entries = 32 * std::max(1u, k.width);
-            sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+            sim::EngineReport rep =
+                sim::Engine(cfg).run(bvh, rays, any_hit);
             ASSERT_EQ(rep.unit.rays_completed, rays.size());
             for (size_t i = 0; i < rays.size(); ++i)
                 ASSERT_TRUE(bitIdentical(rep.hits[i], ref.hits[i]))

@@ -189,18 +189,18 @@ TEST(KnnFunctional, RandomSweepMatchesGoldenBothMetrics)
         const sim::KnnReport rep = engine.runKnn(index, queries);
         ASSERT_TRUE(allBitIdentical(rep.results,
                                     goldenAll(cloud, queries, dims)));
-        EXPECT_EQ(rep.knn.queries, queries.size());
+        EXPECT_EQ(rep.unit.knn.queries, queries.size());
         if (metric == KnnMetric::Euclidean) {
             // The Euclidean walk prunes; the pruning must have skipped
             // real work, not just fired vacuously.
-            EXPECT_GT(rep.knn.pruned, 0u);
-            EXPECT_LT(rep.knn.candidates,
+            EXPECT_GT(rep.unit.knn.pruned, 0u);
+            EXPECT_LT(rep.unit.knn.candidates,
                       queries.size() * cloud.size());
         } else {
             // No valid 3-D bound for cosine: every candidate scored.
-            EXPECT_EQ(rep.knn.candidates,
+            EXPECT_EQ(rep.unit.knn.candidates,
                       queries.size() * cloud.size());
-            EXPECT_EQ(rep.knn.pruned, 0u);
+            EXPECT_EQ(rep.unit.knn.pruned, 0u);
         }
     }
 }
@@ -275,7 +275,7 @@ TEST(KnnFunctional, EdgeCases)
         empty, {{{1.0f, 2.0f}, 3, KnnMetric::Euclidean}});
     ASSERT_EQ(rep.results.size(), 1u);
     EXPECT_TRUE(rep.results[0].neighbors.empty());
-    EXPECT_EQ(rep.knn.queries, 1u);
+    EXPECT_EQ(rep.unit.knn.queries, 1u);
 
     // Inconsistent build inputs throw.
     EXPECT_THROW(buildKnnIndex({{{1.0f, 2.0f}, 0}, {{1.0f}, 1}}),
@@ -307,12 +307,12 @@ TEST(KnnCycle, MatchesGoldenBothMetrics)
         const sim::KnnReport rep = engine.runKnn(index, queries);
         ASSERT_TRUE(allBitIdentical(rep.results,
                                     goldenAll(cloud, queries, dims)));
-        EXPECT_EQ(rep.knn.queries, queries.size());
+        EXPECT_EQ(rep.unit.knn.queries, queries.size());
         EXPECT_GT(rep.unit.cycles, 0u);
         // The unit issues exactly the beats the jobs pack.
-        EXPECT_EQ(rep.unit.datapath_beats, rep.knn.distance_beats);
-        EXPECT_EQ(rep.knn.distance_beats,
-                  rep.knn.candidates * knnBeatsPerJob(dims, metric));
+        EXPECT_EQ(rep.unit.datapath_beats, rep.unit.knn.distance_beats);
+        EXPECT_EQ(rep.unit.knn.distance_beats,
+                  rep.unit.knn.candidates * knnBeatsPerJob(dims, metric));
     }
 }
 
@@ -414,7 +414,7 @@ TEST(KnnEngine, WorkerCountInvarianceAcrossMemoryKnobs)
             }
             // Results AND merged statistics are bit-identical at
             // every worker count.
-            EXPECT_EQ(rep.knn, ref.knn) << "threads=" << threads;
+            EXPECT_EQ(rep.unit.knn, ref.unit.knn) << "threads=" << threads;
             EXPECT_EQ(rep.unit.cycles, ref.unit.cycles);
             EXPECT_EQ(rep.unit.datapath_beats,
                       ref.unit.datapath_beats);
@@ -457,7 +457,7 @@ TEST(KnnEngine, ChipModeMatchesAndMerges)
 
             ASSERT_TRUE(allBitIdentical(rep.results, golden))
                 << "units=" << units << " l2=" << int(l2);
-            EXPECT_EQ(rep.knn.queries, queries.size());
+            EXPECT_EQ(rep.unit.knn.queries, queries.size());
             EXPECT_GT(rep.unit.chip_cycles, 0u);
             EXPECT_FALSE(rep.unit.l2_banks.empty());
         }

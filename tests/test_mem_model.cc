@@ -113,7 +113,7 @@ TEST(MshrFile, MergesDuplicatesAndBoundsOutstanding)
     MshrFile file(2);
     // Completion cycle of the in-flight fill of `addr`, 0 when none.
     const auto done = [&file](uint64_t addr) -> uint64_t {
-        const MshrFile::Entry *e = file.lookup(addr);
+        const FillTiming *e = file.lookup(addr);
         return e ? e->done_cycle : 0;
     };
     ASSERT_TRUE(file.enabled());
@@ -121,8 +121,8 @@ TEST(MshrFile, MergesDuplicatesAndBoundsOutstanding)
     EXPECT_EQ(done(128), 0u);
 
     // Two distinct targets fill the file.
-    file.allocate(128, 30);
-    file.allocate(256, 25);
+    file.allocate(128, {30});
+    file.allocate(256, {25});
     EXPECT_TRUE(file.full());
     // A duplicate of an in-flight target reports its completion (the
     // merge the RT unit rides instead of allocating).

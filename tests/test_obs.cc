@@ -129,14 +129,13 @@ TEST(Obs, SlotConservationAcrossKnobGrid)
                             cfg.rt.ray_buffer_entries = 32 * width;
                             cfg.rt.issue_width = issue;
                             cfg.rt.mshrs = mshrs;
-                            cfg.any_hit = any_hit;
                             if (cached) {
                                 cfg.rt.mem_backend =
                                     MemBackend::NodeCache;
                                 cfg.rt.cache = kProbeCache4KiB;
                             }
                             sim::EngineReport rep =
-                                sim::Engine(cfg).run(bvh, rays);
+                                sim::Engine(cfg).run(bvh, rays, any_hit);
                             EXPECT_TRUE(slotsConserved(rep.unit, issue))
                                 << "width " << width << " issue "
                                 << issue << " mshrs " << mshrs
@@ -568,10 +567,10 @@ TEST(Obs, MultiLaneRunsPinned)
     // Any-hit 8-wide packets at issue width 4.
     {
         sim::EngineConfig cfg = traced(4);
-        cfg.any_hit = true;
         cfg.rt.packet.width = 8;
         cfg.rt.ray_buffer_entries = 32 * 8;
-        const sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+        const sim::EngineReport rep =
+            sim::Engine(cfg).run(bvh, rays, true);
         expectPinned(rep.trace, rep.unit,
                      {4192u, 422383172729690069ull, 6686u,
                       {4727, 21123, 0, 0, 0, 0, 874, 20},

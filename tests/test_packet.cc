@@ -170,13 +170,11 @@ TEST(PacketTraversal, AnyHitMatchesScalar)
     sim::EngineConfig scalar;
     scalar.threads = 1;
     scalar.batch_size = 64;
-    scalar.any_hit = true;
-    sim::EngineReport ref = sim::Engine(scalar).run(bvh, rays);
+    sim::EngineReport ref = sim::Engine(scalar).run(bvh, rays, true);
 
     for (unsigned width : {2u, 8u}) {
-        sim::EngineConfig cfg = packetConfig(width);
-        cfg.any_hit = true;
-        sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+        sim::EngineReport rep =
+            sim::Engine(packetConfig(width)).run(bvh, rays, true);
         for (size_t i = 0; i < rays.size(); ++i)
             ASSERT_TRUE(bitIdentical(rep.hits[i], ref.hits[i]))
                 << "ray " << i << " at width " << width;

@@ -164,9 +164,7 @@ TEST(RayExtent, BothEngineModelsHonorLowerBound)
         EXPECT_EQ(rep.hits[1].triangle_id, 0u); // t_beg=0 sees the near
         EXPECT_FALSE(rep.hits[2].hit);          // empty extent window
 
-        sim::EngineConfig any = cfg;
-        any.any_hit = true;
-        sim::EngineReport occ = sim::Engine(any).run(bvh, rays);
+        sim::EngineReport occ = sim::Engine(cfg).run(bvh, rays, true);
         EXPECT_TRUE(occ.hits[0].hit);
         EXPECT_TRUE(occ.hits[1].hit);
         EXPECT_FALSE(occ.hits[2].hit);

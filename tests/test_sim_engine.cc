@@ -276,16 +276,13 @@ TEST(SimEngine, AnyHitMode)
     sim::EngineConfig cfg;
     cfg.model = sim::ExecutionModel::Functional;
     cfg.batch_size = 40;
-    cfg.any_hit = true;
     cfg.threads = 1;
-    sim::EngineReport ref = sim::Engine(cfg).run(bvh, rays);
+    sim::EngineReport ref = sim::Engine(cfg).run(bvh, rays, true);
 
     // A hit exists inside the extent iff closest-hit finds one. (Beat
     // counts are not compared: any-hit usually issues fewer, but with
     // no best-hit pruning that is scene-dependent, not an invariant.)
-    sim::EngineConfig closest = cfg;
-    closest.any_hit = false;
-    sim::EngineReport full = sim::Engine(closest).run(bvh, rays);
+    sim::EngineReport full = sim::Engine(cfg).run(bvh, rays);
     size_t n_hit = 0;
     for (size_t i = 0; i < rays.size(); ++i) {
         EXPECT_EQ(ref.hits[i].hit, full.hits[i].hit) << i;
@@ -295,7 +292,7 @@ TEST(SimEngine, AnyHitMode)
 
     // Determinism holds in any-hit mode too.
     cfg.threads = 4;
-    sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays);
+    sim::EngineReport rep = sim::Engine(cfg).run(bvh, rays, true);
     for (size_t i = 0; i < rays.size(); ++i)
         ASSERT_TRUE(bitIdentical(rep.hits[i], ref.hits[i])) << i;
     EXPECT_EQ(rep.traversal, ref.traversal);
@@ -309,10 +306,9 @@ TEST(SimEngine, AnyHitMode)
     // (only the hit flag set) agree with the functional model
     // bit-for-bit.
     sim::EngineConfig ca;
-    ca.any_hit = true;
     ca.batch_size = 40;
     ca.threads = 2;
-    sim::EngineReport cyc = sim::Engine(ca).run(bvh, rays);
+    sim::EngineReport cyc = sim::Engine(ca).run(bvh, rays, true);
     for (size_t i = 0; i < rays.size(); ++i)
         ASSERT_TRUE(bitIdentical(cyc.hits[i], ref.hits[i])) << i;
     EXPECT_GT(cyc.unit.cycles, 0u);
@@ -455,17 +451,15 @@ TEST(SimEngine, CycleAccurateAnyHitMatchesFunctionalOn10kShadowRays)
 
     sim::EngineConfig fcfg;
     fcfg.model = sim::ExecutionModel::Functional;
-    fcfg.any_hit = true;
     fcfg.threads = 0; // all cores
     fcfg.batch_size = 512;
-    sim::EngineReport fun = sim::Engine(fcfg).run(bvh, rays);
+    sim::EngineReport fun = sim::Engine(fcfg).run(bvh, rays, true);
 
     sim::EngineConfig ccfg;
     ccfg.model = sim::ExecutionModel::CycleAccurate;
-    ccfg.any_hit = true;
     ccfg.threads = 0;
     ccfg.batch_size = 512;
-    sim::EngineReport cyc = sim::Engine(ccfg).run(bvh, rays);
+    sim::EngineReport cyc = sim::Engine(ccfg).run(bvh, rays, true);
 
     size_t occluded = 0;
     for (size_t i = 0; i < rays.size(); ++i) {

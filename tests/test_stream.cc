@@ -10,9 +10,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "bvh/scene.hh"
 #include "core/workloads.hh"
@@ -198,7 +198,7 @@ TEST(StreamingService, DeterministicAcrossWorkerCounts)
     }
 }
 
-TEST(StreamingService, SubmissionInterleavingDoesNotChangeTheReport)
+TEST(StreamingService, JobOrderDoesNotChangeTheReport)
 {
     Bvh4 bvh = testScene();
     std::vector<sim::RenderJob> jobs = mixedSchedule(bvh);
@@ -207,17 +207,11 @@ TEST(StreamingService, SubmissionInterleavingDoesNotChangeTheReport)
     sim::StreamReport ref =
         sim::StreamingService::run(engine, bvh, mixedSchedule(bvh), {});
 
-    // Submit the same schedule from three racing submitter threads in
-    // reverse order: the plan is a function of the schedule, not of
-    // host-time interleaving.
-    sim::StreamingService svc(engine);
-    std::vector<std::thread> submitters;
-    for (size_t j = 0; j < jobs.size(); ++j)
-        submitters.emplace_back(
-            [&, j] { svc.submit(jobs[jobs.size() - 1 - j]); });
-    for (auto &t : submitters)
-        t.join();
-    sim::StreamReport rep = svc.finish(bvh);
+    // The same schedule listed in reverse: the plan is a function of
+    // the schedule, not of the order of the job vector.
+    std::reverse(jobs.begin(), jobs.end());
+    sim::StreamReport rep =
+        sim::StreamingService::run(engine, bvh, std::move(jobs), {});
 
     EXPECT_EQ(rep.unit, ref.unit);
     ASSERT_EQ(rep.jobs.size(), ref.jobs.size());
@@ -276,24 +270,18 @@ TEST(StreamingService, ApiMisuseThrows)
     Bvh4 bvh = testScene();
     sim::Engine engine(packetEngineConfig(1));
 
-    { // duplicate job ids
-        sim::StreamingService svc(engine);
-        svc.submit({3, 0, false, cameraRays(bvh, 2, 2)});
-        svc.submit({3, 10, false, cameraRays(bvh, 2, 2)});
-        EXPECT_THROW(svc.finish(bvh), std::invalid_argument);
-    }
-    { // submit after finish
-        sim::StreamingService svc(engine);
-        svc.finish(bvh);
-        EXPECT_THROW(svc.submit({1, 0, false, {}}), std::logic_error);
-        EXPECT_THROW(svc.finish(bvh), std::logic_error);
-    }
+    // Duplicate job ids.
+    std::vector<sim::RenderJob> jobs;
+    jobs.push_back({3, 0, false, cameraRays(bvh, 2, 2)});
+    jobs.push_back({3, 10, false, cameraRays(bvh, 2, 2)});
+    EXPECT_THROW(sim::StreamingService::run(engine, bvh, std::move(jobs)),
+                 std::invalid_argument);
 }
 
 TEST(StreamingService, BatchErrorPropagatesFromWorkers)
 {
     // A cycle budget no batch can meet: the std::runtime_error a batch
-    // throws on a worker must surface from finish() at every worker
+    // throws on a worker must surface from run() at every worker
     // count, without hanging the service or the engine's pool.
     Bvh4 bvh = testScene();
     sim::StreamConfig scfg;
@@ -305,7 +293,7 @@ TEST(StreamingService, BatchErrorPropagatesFromWorkers)
         try {
             sim::StreamingService::run(engine, bvh, mixedSchedule(bvh),
                                        scfg);
-            ADD_FAILURE() << threads << " threads: finish() returned";
+            ADD_FAILURE() << threads << " threads: run() returned";
         } catch (const std::runtime_error &e) {
             EXPECT_NE(std::string(e.what()).find("max_cycles_per_batch"),
                       std::string::npos)
